@@ -129,7 +129,9 @@ func RunOn(g *graph.Graph, opt Options, comp []int32, alive []graph.NodeID) *Res
 		}
 		// 2. For each root, the backward closure within its color is
 		// its SCC. Roots are processed in parallel; their color regions
-		// are disjoint, so no two traversals touch the same node.
+		// are disjoint, so no two traversals touch the same node. The
+		// color test comes first: only a node of this root's color
+		// belongs to this worker, so only its Comp entry may be read.
 		roots := make([]graph.NodeID, 0, 64)
 		for _, v := range alive {
 			if color[v] == int32(v) {
@@ -149,7 +151,7 @@ func RunOn(g *graph.Graph, opt Options, comp []int32, alive []graph.NodeID) *Res
 					v := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					for _, k := range g.In(v) {
-						if res.Comp[k] < 0 && color[k] == rc {
+						if color[k] == rc && res.Comp[k] < 0 {
 							res.Comp[k] = rc
 							stack = append(stack, k)
 						}

@@ -9,7 +9,7 @@
 //     labeling and the condensation are provably unchanged. Label
 //     no-op, DAG untouched.
 //   - inter-SCC insert with no reverse reachability in the
-//     condensation (checked via Condensed.ReachableInto on a pooled
+//     condensation (checked via Condensed.Reaches on a pooled
 //     scratch): no cycle can form, so the update is a condensation
 //     edge add and nothing else.
 //   - cycle-creating insert: the condensation components on paths from
@@ -638,12 +638,12 @@ func (m *Maintainer) memberDo(root int32, fn func(v graph.NodeID)) {
 
 // reaches reports whether component `to` is reachable from `from` in
 // the current condensation. With no stage active this is the committed
-// DAG via the pooled ReachScratch; with a stage it is a BFS over the
-// staged view.
+// DAG's rank-pruned search on the pooled ReachScratch; with a stage it
+// is a BFS over the staged view.
 func (m *Maintainer) reaches(from, to int32) bool {
 	st := &m.st
 	if !st.active {
-		return m.cond.ReachableInto(from, &m.reach)[to]
+		return m.cond.Reaches(from, to, &m.reach)
 	}
 	if from == to {
 		return true
@@ -1038,14 +1038,14 @@ func (m *Maintainer) commit() (*scc.Condensed, error) {
 		outIdx, outAdj := patchCSR(oldOutIdx, oldOutAdj, st.outTouched, st.out)
 		inIdx, inAdj := patchCSR(oldInIdx, oldInAdj, st.inTouched, st.in)
 		dag := graph.FromCSR(outIdx, outAdj, inIdx, inAdj)
-		topo := m.cond.Topo
+		topo, rank := m.cond.Topo, m.cond.Rank
 		if st.dagAdds {
 			var ok bool
-			if topo, ok = kahn(dag); !ok {
+			if topo, rank, ok = scc.TopoOrder(dag); !ok {
 				return nil, errCyclicCommit
 			}
 		}
-		nc = &scc.Condensed{DAG: dag, NodeComp: m.cond.NodeComp, Sizes: m.cond.Sizes, Topo: topo}
+		nc = &scc.Condensed{DAG: dag, NodeComp: m.cond.NodeComp, Sizes: m.cond.Sizes, Topo: topo, Rank: rank}
 	} else {
 		numC := len(st.uf)
 		remap := make([]int32, numC)
@@ -1091,11 +1091,11 @@ func (m *Maintainer) commit() (*scc.Condensed, error) {
 			})
 		}
 		dag := b.Build()
-		topo, ok := kahn(dag)
+		topo, rank, ok := scc.TopoOrder(dag)
 		if !ok {
 			return nil, errCyclicCommit
 		}
-		nc = &scc.Condensed{DAG: dag, NodeComp: nodeComp, Sizes: sizes, Topo: topo}
+		nc = &scc.Condensed{DAG: dag, NodeComp: nodeComp, Sizes: sizes, Topo: topo, Rank: rank}
 		m.invalidateMembers()
 	}
 	m.cond = nc
@@ -1149,36 +1149,6 @@ func patchCSR(oldIdx []int64, oldAdj []graph.NodeID, touched []int32, over [][]i
 	}
 	copy(adj[dst:], oldAdj[src:])
 	return idx, adj
-}
-
-// kahn topologically orders dag; ok is false if it has a cycle.
-func kahn(dag *graph.Graph) ([]int32, bool) {
-	k := dag.NumNodes()
-	indeg := make([]int32, k)
-	for c := 0; c < k; c++ {
-		for _, d := range dag.Out(graph.NodeID(c)) {
-			indeg[d]++
-		}
-	}
-	topo := make([]int32, 0, k)
-	queue := make([]int32, 0, k)
-	for c := int32(0); c < int32(k); c++ {
-		if indeg[c] == 0 {
-			queue = append(queue, c)
-		}
-	}
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		topo = append(topo, c)
-		for _, d := range dag.Out(graph.NodeID(c)) {
-			indeg[d]--
-			if indeg[d] == 0 {
-				queue = append(queue, int32(d))
-			}
-		}
-	}
-	return topo, len(topo) == k
 }
 
 // LabelsEquivalent reports whether two labelings induce the same

@@ -146,6 +146,23 @@ func checkAgainstOracle(t *testing.T, m *Maintainer, tag string) {
 			}
 		}
 	}
+	// Rank must be Topo's inverse on every commit path, including the
+	// delete-only path that reuses the committed order.
+	if len(cond.Rank) != k {
+		t.Fatalf("%s: rank covers %d of %d components", tag, len(cond.Rank), k)
+	}
+	for i, c := range cond.Topo {
+		if cond.Rank[c] != int32(i) {
+			t.Fatalf("%s: Rank[Topo[%d]] = %d, want %d", tag, i, cond.Rank[c], i)
+		}
+	}
+	for c := 0; c < k; c++ {
+		for _, d := range cond.DAG.Out(graph.NodeID(c)) {
+			if cond.Rank[c] >= cond.Rank[d] {
+				t.Fatalf("%s: rank violates DAG edge %d->%d", tag, c, d)
+			}
+		}
+	}
 }
 
 func seedMaintainer(t *testing.T, g *graph.Graph) *Maintainer {
@@ -296,6 +313,46 @@ func TestClassifiedCounters(t *testing.T) {
 		t.Fatal("split did not separate the triangles")
 	}
 	checkAgainstOracle(t, m, "post-split")
+}
+
+// TestRankAcrossCommitPaths walks one batch down each commit path
+// that sets Rank — the delete-only path reusing the committed order,
+// the DAG-insert path re-deriving it, and the label-change path — and
+// exercises the committed-DAG reachability probe both ways: an insert
+// whose reverse probe is cut off by rank at once, and one whose probe
+// finds the path that closes a cycle.
+func TestRankAcrossCommitPaths(t *testing.T) {
+	// Chain 0→1→2→3→4 with the shortcut 1→3; node 5 stands apart.
+	m := seedMaintainer(t, graph.FromEdges(6, []graph.Edge{
+		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4},
+		{From: 1, To: 3},
+	}))
+
+	prev := m.Cond()
+	if st := applyOneUpdate(t, m, graph.Update{Op: graph.EdgeDelete, From: 1, To: 3}); st.DagDeletes != 1 {
+		t.Fatalf("shortcut delete: %+v", st)
+	}
+	if cur := m.Cond(); cur == prev || &cur.Rank[0] != &prev.Rank[0] {
+		t.Fatal("delete-only commit did not reuse the committed rank")
+	}
+	checkAgainstOracle(t, m, "delete-only")
+
+	if st := applyOneUpdate(t, m, graph.Update{Op: graph.EdgeInsert, From: 0, To: 4}); st.DagInserts != 1 {
+		t.Fatalf("forward insert: %+v", st)
+	}
+	checkAgainstOracle(t, m, "forward insert")
+	if st := applyOneUpdate(t, m, graph.Update{Op: graph.EdgeInsert, From: 5, To: 0}); st.DagInserts != 1 {
+		t.Fatalf("insert from the stray node: %+v", st)
+	}
+	checkAgainstOracle(t, m, "stray insert")
+
+	if st := applyOneUpdate(t, m, graph.Update{Op: graph.EdgeInsert, From: 3, To: 1}); st.CycleMerges != 1 {
+		t.Fatalf("cycle-closing insert: %+v", st)
+	}
+	if cond := m.Cond(); cond.NodeComp[1] != cond.NodeComp[3] || cond.NodeComp[0] == cond.NodeComp[1] {
+		t.Fatal("cycle-closing insert did not fold exactly {1,2,3}")
+	}
+	checkAgainstOracle(t, m, "cycle merge")
 }
 
 // TestChaosMidCollapseRollback injects a panic on the first SiteIncr

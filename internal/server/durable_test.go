@@ -391,7 +391,7 @@ func TestServerCrashPointMatrix(t *testing.T) {
 			}
 
 			// The recovered server still takes writes.
-			if err := s.applyUpdate([]graph.Update{{From: 1, To: 5}}, 5); err != nil {
+			if _, err := s.applyUpdate([]graph.Update{{From: 1, To: 5}}, 5); err != nil {
 				t.Errorf("post-recovery update: %v", err)
 			}
 			if got := st.LastSeq(); got != seq+1 {

@@ -30,7 +30,8 @@ import (
 //
 //	POST /update[?wait=1]         apply a signed update batch ("u v" /
 //	                              "+u v" inserts, "-u v" deletes);
-//	                              wait=1 blocks until the epoch advances
+//	                              wait=1 blocks until an epoch that
+//	                              includes the batch publishes
 //	POST /scc                     ad-hoc detection on a POSTed edge list
 //
 // Control endpoints (never shed, so they answer during overload):
@@ -295,10 +296,10 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 // update queue and kicks an asynchronous epoch rebuild. The batch is
 // one update per line: "u v" or "+u v" inserts the edge, "-u v"
 // deletes it; node ids beyond the current graph grow it. With ?wait=1
-// the handler blocks (bounded by the request deadline) until the new
-// epoch publishes, answering 200; otherwise it answers 202
-// immediately. A batch that would push the graph past BodyLimits is
-// rejected whole with 413 and nothing is applied.
+// the handler blocks (bounded by the request deadline) until an epoch
+// that includes this batch publishes, answering 200; otherwise it
+// answers 202 immediately. A batch that would push the graph past
+// BodyLimits is rejected whole with 413 and nothing is applied.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	batch, maxNode, err := parseUpdateBatch(r.Context(), r)
 	if err != nil {
@@ -327,8 +328,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"applied": 0, "epoch": s.epochNow()})
 		return
 	}
-	target := s.epochNow() + 1
-	if err := s.applyUpdate(batch, maxNode); err != nil {
+	ord, err := s.applyUpdate(batch, maxNode)
+	if err != nil {
 		// The write-ahead log could not persist the batch; refusing it
 		// outright beats acknowledging an update a crash would lose.
 		s.retryAfter(w)
@@ -343,7 +344,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
-	for s.epochNow() < target {
+	// Wait for an epoch that consumed this very batch: a rebuild
+	// already in flight when the batch arrived publishes a newer
+	// epoch without it.
+	for s.batchesPublished() < ord {
 		select {
 		case <-r.Context().Done():
 			writeJSON(w, http.StatusAccepted, map[string]any{

@@ -96,6 +96,11 @@ type Config struct {
 	// tests can observe it. Must be set before New — recovery starts
 	// on New's background goroutine.
 	testRecoverGate chan struct{}
+	// testBeforePublish (tests only) runs on the rebuild goroutine
+	// after a rebuild attempt succeeded and before its epoch is
+	// published, with the attempt's 1-based ordinal, so tests can hold
+	// a rebuild in flight.
+	testBeforePublish func(attempt int64)
 	// Logf logs server events (rebuild failures, panics, engine
 	// resets). Defaults to log.Printf.
 	Logf func(format string, args ...any)
@@ -157,8 +162,9 @@ type Server struct {
 	engine   *scc.Engine
 
 	// edgeMu guards the authoritative update queue consumed by epoch
-	// rebuilds, the node/edge totals used for limit checks, and —
-	// when durability is on — appliedSeq, the WAL sequence the queue
+	// rebuilds, the node/edge totals used for limit checks, batches
+	// (the ordinal of the last batch joined to the queue), and — when
+	// durability is on — appliedSeq, the WAL sequence the queue
 	// reflects. Append order and log order coincide because both
 	// happen under this mutex. The queue holds accepted-but-not-yet-
 	// published updates; each rebuild consumes a prefix and trims it.
@@ -168,6 +174,7 @@ type Server struct {
 	edgeEst    int64
 	dirty      bool
 	dirtySince time.Time
+	batches    int64
 	appliedSeq uint64
 
 	// maint owns the served edge set (CSR base + overlay deltas) and
@@ -461,26 +468,28 @@ func (s *Server) exit() {
 // write-ahead log FIRST, under the same mutex that orders the queue,
 // so log order and apply order coincide; a batch the log refuses is
 // not applied and the error is returned for the handler to surface
-// as 503.
-func (s *Server) applyUpdate(batch []graph.Update, maxNode int64) error {
-	if err := s.applyLocked(batch, maxNode); err != nil {
-		return err
+// as 503. On success it returns the batch's ordinal: the batch is
+// visible once a published Snapshot's Batches reaches it.
+func (s *Server) applyUpdate(batch []graph.Update, maxNode int64) (int64, error) {
+	ord, err := s.applyLocked(batch, maxNode)
+	if err != nil {
+		return 0, err
 	}
 	select {
 	case s.kick <- struct{}{}:
 	default:
 	}
-	return nil
+	return ord, nil
 }
 
-func (s *Server) applyLocked(batch []graph.Update, maxNode int64) error {
+func (s *Server) applyLocked(batch []graph.Update, maxNode int64) (int64, error) {
 	s.edgeMu.Lock()
 	defer s.edgeMu.Unlock()
 	if s.store != nil {
 		seq, err := s.store.AppendUpdates(batch)
 		if err != nil {
 			s.ctr.WALAppendErrs.Add(1)
-			return err
+			return 0, err
 		}
 		s.appliedSeq = seq
 		s.ctr.WALAppends.Add(1)
@@ -490,11 +499,12 @@ func (s *Server) applyLocked(batch []graph.Update, maxNode int64) error {
 	}
 	s.queue = append(s.queue, batch...)
 	s.edgeEst += countInserts(batch)
+	s.batches++
 	if !s.dirty {
 		s.dirty = true
 		s.dirtySince = time.Now()
 	}
-	return nil
+	return s.batches, nil
 }
 
 // countInserts counts the inserts in a batch: the amount by which it
@@ -545,6 +555,15 @@ func (s *Server) recoveringNow() bool {
 func (s *Server) epochNow() int64 {
 	if sn := s.snap.Load(); sn != nil {
 		return sn.Epoch
+	}
+	return 0
+}
+
+// batchesPublished reports the ordinal of the last update batch the
+// published epoch reflects.
+func (s *Server) batchesPublished() int64 {
+	if sn := s.snap.Load(); sn != nil {
+		return sn.Batches
 	}
 	return 0
 }
@@ -619,12 +638,14 @@ func (s *Server) rebuildOnce(ctx context.Context) error {
 
 	s.edgeMu.Lock()
 	// k is the consumed prefix: updates arriving mid-rebuild stay
-	// queued for the next epoch. seqCopied is the WAL sequence this
-	// epoch will cover — captured with the prefix, under the same
-	// mutex that ordered both.
+	// queued for the next epoch. seqCopied and batchesCopied are the
+	// WAL sequence and the batch ordinal this epoch will cover —
+	// captured with the prefix, under the same mutex that ordered all
+	// three.
 	k := len(s.queue)
 	updates := s.queue[:k:k]
 	seqCopied := s.appliedSeq
+	batchesCopied := s.batches
 	s.edgeMu.Unlock()
 
 	rctx, cancel := context.WithTimeout(ctx, s.cfg.RebuildTimeout)
@@ -694,11 +715,15 @@ func (s *Server) rebuildOnce(ctx context.Context) error {
 	if epoch <= s.epochBase {
 		epoch = s.epochBase + 1
 	}
+	if hook := s.cfg.testBeforePublish; hook != nil {
+		hook(attempt)
+	}
 	s.snap.Store(&Snapshot{
 		Epoch:     epoch,
 		Built:     time.Now(),
 		Nodes:     s.maint.NumNodes(),
 		Edges:     s.maint.NumEdges(),
+		Batches:   batchesCopied,
 		Cond:      cond,
 		NumSCCs:   info.numSCCs,
 		Detect:    info.detect,

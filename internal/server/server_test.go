@@ -159,6 +159,71 @@ func TestUpdateAdvancesEpoch(t *testing.T) {
 	}
 }
 
+// TestUpdateWaitOutlastsInFlightRebuild posts a ?wait=1 batch while a
+// rebuild that does not hold it is in flight. That rebuild publishing
+// must not answer the wait: the handler returns only once an epoch
+// that consumed the batch is published, so the batch is visible to
+// the very next query.
+func TestUpdateWaitOutlastsInFlightRebuild(t *testing.T) {
+	inFlight := make(chan struct{})
+	release := make(chan struct{})
+	cfg := quietCfg()
+	cfg.testBeforePublish = func(attempt int64) {
+		switch attempt {
+		case 2: // consumed only the first batch
+			close(inFlight)
+			<-release
+		case 3: // consumes the waited-on batch; hold it so an early
+			// answer is observable as a stale read
+			time.Sleep(300 * time.Millisecond)
+		}
+	}
+	s, ts := newTestServer(t, cfg)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+
+	resp, _ := postBody(t, ts.URL+"/update", "+4 0\n")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first update: status %d, want 202", resp.StatusCode)
+	}
+	<-inFlight
+
+	type answer struct {
+		code int
+		body map[string]any
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, m := postBody(t, ts.URL+"/update?wait=1", "+5 0\n+0 5\n")
+		done <- answer{resp.StatusCode, m}
+	}()
+	// Release the in-flight rebuild only once the second batch is
+	// queued behind it.
+	for {
+		s.edgeMu.Lock()
+		queued := s.batches
+		s.edgeMu.Unlock()
+		if queued == 2 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	unblock()
+
+	a := <-done
+	if a.code != http.StatusOK || a.body["rebuilt"] != true {
+		t.Fatalf("waited update: status %d body %v", a.code, a.body)
+	}
+	if a.body["epoch"].(float64) != 3 {
+		t.Errorf("waited update answered at epoch %v, want 3", a.body["epoch"])
+	}
+	code, q := getJSON(t, ts.URL+"/same?u=0&v=5")
+	if code != http.StatusOK || q["same"] != true {
+		t.Errorf("same 0 5 right after the waited update: status %d same=%v, want 200 true", code, q["same"])
+	}
+}
+
 func TestUpdateRejectedByLimits(t *testing.T) {
 	cfg := quietCfg()
 	cfg.BodyLimits = graph.Limits{MaxNodes: 10, MaxEdges: 10}

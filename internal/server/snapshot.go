@@ -39,6 +39,10 @@ type Snapshot struct {
 	// labels.
 	Nodes int
 	Edges int64
+	// Batches is the ordinal of the last accepted /update batch this
+	// epoch reflects (0 before the first): every batch up to it is
+	// visible here, none after it.
+	Batches int64
 	// Cond is the SCC condensation: labeling, component sizes, DAG.
 	Cond *scc.Condensed
 	// NumSCCs is the component count.
@@ -65,7 +69,9 @@ func (s *Snapshot) ComponentOf(v int64) int32 {
 }
 
 // Reachable reports whether dst is reachable from src in the original
-// graph, answered on the condensation DAG with pooled scratch.
+// graph, answered on the condensation DAG by the rank-pruned,
+// early-exit Condensed.Reaches on pooled scratch: only components
+// ranked below dst's are walked.
 func (s *Snapshot) Reachable(src, dst int32) bool {
 	cs, cd := s.Cond.NodeComp[src], s.Cond.NodeComp[dst]
 	if cs == cd {
@@ -75,8 +81,7 @@ func (s *Snapshot) Reachable(src, dst int32) bool {
 	if sc == nil {
 		sc = new(scc.ReachScratch)
 	}
-	seen := s.Cond.ReachableInto(cs, sc)
-	ok := seen[cd]
+	ok := s.Cond.Reaches(cs, cd, sc)
 	s.scratch.Put(sc)
 	return ok
 }

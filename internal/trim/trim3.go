@@ -52,6 +52,17 @@ func Par3(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 		}
 		ar.PutLists(bufs)
 	}
+	// A triangle member that is not the minimum can be listed before
+	// the minimum member claims the triangle (later in the candidate
+	// order, or on another worker), so survivors are only final once
+	// every claim has landed: drop the removed ones past the barrier.
+	live := survivors[:0]
+	for _, v := range survivors {
+		if color[v] != Removed {
+			live = append(live, v)
+		}
+	}
+	survivors = live
 	res.Removed = 3 * res.SCCs
 	ctr.AddTrimRound(res.Removed)
 	sink.Emit(events.Event{Type: events.TrimRound, Round: 1, Nodes: res.Removed})
@@ -63,6 +74,8 @@ func Par3(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 
 // trim3Range applies the Trim3 pass to candidates[lo:hi], appending
 // survivors to *buf and returning the number of triangles claimed.
+// Its survivors may include members of triangles claimed later in the
+// pass; Par3 filters them out once the pass is done.
 func trim3Range(g *graph.Graph, color, comp []int32, candidates []graph.NodeID, lo, hi int, buf *[]graph.NodeID) int64 {
 	var tris int64
 	for i := lo; i < hi; i++ {
@@ -74,13 +87,8 @@ func trim3Range(g *graph.Graph, color, comp []int32, candidates []graph.NodeID, 
 		if a, b, ok := trim3Cycle(g, color, v, c); ok {
 			// Only the minimum member claims, so each triangle is
 			// claimed at most once.
-			if v < a && v < b {
-				if claimTriple(color, comp, v, a, b, c) {
-					tris++
-					continue
-				}
-			}
-			if atomic.LoadInt32(&color[v]) == Removed {
+			if v < a && v < b && claimTriple(color, comp, v, a, b, c) {
+				tris++
 				continue
 			}
 		}

@@ -1,6 +1,7 @@
 package scc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -201,5 +202,101 @@ func TestReachableInto(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm ReachableInto allocates %.0f/op, want 0", allocs)
+	}
+}
+
+// reachesMatchesClosure checks Reaches against the full closure of
+// ReachableInto for every ordered pair of components of c.
+func reachesMatchesClosure(t *testing.T, name string, c *Condensed, s *ReachScratch) {
+	t.Helper()
+	k := int32(c.DAG.NumNodes())
+	var full ReachScratch
+	for from := int32(0); from < k; from++ {
+		closure := c.ReachableInto(from, &full)
+		for to := int32(0); to < k; to++ {
+			if got := c.Reaches(from, to, s); got != closure[to] {
+				t.Fatalf("%s: Reaches(%d, %d) = %v, closure says %v", name, from, to, got, closure[to])
+			}
+		}
+	}
+}
+
+func condenseTarjan(t *testing.T, g *graph.Graph) *Condensed {
+	t.Helper()
+	res, err := Detect(g, Options{Algorithm: Tarjan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Condense(g, res.Comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestReachesDifferential pins the rank-pruned, early-exit search to
+// the full-closure answer on every pair: random graphs (cyclic, so
+// condensations of mixed SCC sizes), long chains (the worst case for
+// pruning, where every query is one deep path), and a small patents
+// analog (an acyclic citation graph, where the DAG is the graph
+// itself). One scratch serves every graph, so shrinking and regrowing
+// the stamp array is covered too.
+func TestReachesDifferential(t *testing.T) {
+	var s ReachScratch
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 20; trial++ {
+		n := 5 + rng.Intn(120)
+		b := graph.NewBuilder(n)
+		for i := 0; i < n*(1+trial%3); i++ {
+			b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+		}
+		reachesMatchesClosure(t, "random", condenseTarjan(t, b.Build()), &s)
+	}
+	for _, n := range []int{1, 2, 300} {
+		fwd := graph.NewBuilder(n)
+		back := graph.NewBuilder(n)
+		for v := 0; v+1 < n; v++ {
+			fwd.AddEdge(graph.NodeID(v), graph.NodeID(v+1))
+			back.AddEdge(graph.NodeID(v+1), graph.NodeID(v))
+		}
+		reachesMatchesClosure(t, "chain", condenseTarjan(t, fwd.Build()), &s)
+		reachesMatchesClosure(t, "reverse chain", condenseTarjan(t, back.Build()), &s)
+	}
+	reachesMatchesClosure(t, "patents analog", condenseTarjan(t, gen.CitationDAG(400, 5, 108)), &s)
+}
+
+// TestReachesStampWrap makes the visit stamp wrap on every checked
+// query: a priming query runs at round 1 and leaves its marks, then
+// the round is set to MaxUint32 so the checked query wraps back onto
+// round 1. Unless the wrap clears the marks, the priming query's
+// visits read as visits of the checked one and cut its search short.
+func TestReachesStampWrap(t *testing.T) {
+	c := condenseTarjan(t, gen.CitationDAG(200, 4, 3))
+	k := int32(c.DAG.NumNodes())
+	var s, full ReachScratch
+	for from := int32(0); from < k; from++ {
+		closure := c.ReachableInto(from, &full)
+		for to := int32(0); to < k; to++ {
+			s.round = 0
+			c.Reaches(from, to, &s)
+			s.round = math.MaxUint32
+			if got := c.Reaches(from, to, &s); got != closure[to] {
+				t.Fatalf("after wrap: Reaches(%d, %d) = %v, closure says %v", from, to, got, closure[to])
+			}
+		}
+	}
+}
+
+// TestReachesAllocs pins a warm Reaches at zero allocations.
+func TestReachesAllocs(t *testing.T) {
+	c := condenseTarjan(t, gen.CitationDAG(2000, 5, 108))
+	var s ReachScratch
+	from, to := c.Topo[0], c.Topo[len(c.Topo)-1]
+	c.Reaches(from, to, &s)
+	allocs := testing.AllocsPerRun(50, func() {
+		c.Reaches(from, to, &s)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Reaches allocates %.0f/op, want 0", allocs)
 	}
 }
