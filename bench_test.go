@@ -265,38 +265,6 @@ func BenchmarkRelatedMultiStep(b *testing.B) {
 	benchDetect(b, "baidu", scc.MultiStep, scc.Options{Seed: 1})
 }
 
-// BenchmarkAblationTrim2Iterations ablates the §3.4 decision to apply
-// Trim2 only once.
-func BenchmarkAblationTrim2Iterations(b *testing.B) {
-	for _, iters := range []int{1, 3} {
-		b.Run(fmt.Sprintf("iters=%d", iters), func(b *testing.B) {
-			benchDetect(b, "flickr", scc.Method2, scc.Options{Seed: 1, Trim2Iterations: iters})
-		})
-	}
-}
-
-// BenchmarkAblationTrim3 measures the diminishing return of extending
-// the trim family to size-3 SCCs.
-func BenchmarkAblationTrim3(b *testing.B) {
-	b.Run("trim2-only", func(b *testing.B) {
-		benchDetect(b, "flickr", scc.Method2, scc.Options{Seed: 1})
-	})
-	b.Run("trim2+trim3", func(b *testing.B) {
-		benchDetect(b, "flickr", scc.Method2, scc.Options{Seed: 1, EnableTrim3: true})
-	})
-}
-
-// BenchmarkAblationScheduler contrasts the paper's two-level queue
-// (§4.3) with a work-stealing scheduler in the recursive phase.
-func BenchmarkAblationScheduler(b *testing.B) {
-	b.Run("two-level", func(b *testing.B) {
-		benchDetect(b, "flickr", scc.Method2, scc.Options{Seed: 1})
-	})
-	b.Run("stealing", func(b *testing.B) {
-		benchDetect(b, "flickr", scc.Method2, scc.Options{Seed: 1, UseStealing: true})
-	})
-}
-
 // --- Work-efficient kernels: counter-peeling Trim + union-find WCC ---
 
 // BenchmarkKernels compares the legacy round-based Par-Trim/Par-WCC,

@@ -240,7 +240,7 @@ func main() {
 			if err != nil {
 				// No existing bench report to merge into: write a shell
 				// document holding only the multipivot section.
-				rep = experiments.BenchReport{GoVersion: mpRep.GoVersion}
+				rep = experiments.BenchReport{GoVersion: mpRep.GoVersion, Host: experiments.CurrentHost()}
 			}
 			rep.MultiPivot = &mpRep
 			writeBenchReport(*jsonPath, rep)
@@ -263,7 +263,7 @@ func main() {
 			if err != nil {
 				// No existing bench report to merge into: write a shell
 				// document holding only the engine section.
-				rep = experiments.BenchReport{GoVersion: engRep.GoVersion}
+				rep = experiments.BenchReport{GoVersion: engRep.GoVersion, Host: experiments.CurrentHost()}
 			}
 			rep.Engine = &engRep
 			writeBenchReport(*jsonPath, rep)
@@ -316,7 +316,7 @@ func main() {
 			if err != nil {
 				// No existing serve report to merge into: write a shell
 				// document holding only the recover section.
-				rep = experiments.ServeReport{GoVersion: recRep.GoVersion}
+				rep = experiments.ServeReport{GoVersion: recRep.GoVersion, Host: experiments.CurrentHost()}
 			}
 			rep.Recover = &recRep
 			writeServeReport(*serveJSON, rep)
@@ -345,7 +345,7 @@ func main() {
 			if err != nil {
 				// No existing serve report to merge into: write a shell
 				// document holding only the incr section.
-				rep = experiments.ServeReport{GoVersion: incRep.GoVersion}
+				rep = experiments.ServeReport{GoVersion: incRep.GoVersion, Host: experiments.CurrentHost()}
 			}
 			rep.Incr = &incRep
 			writeServeReport(*serveJSON, rep)

@@ -84,16 +84,17 @@ type BenchRow struct {
 
 // BenchReport is the top-level BENCH_scc.json document.
 type BenchReport struct {
-	Benchmark string     `json:"benchmark"`
-	Algorithm string     `json:"algorithm"`
-	Kernels   string     `json:"kernels"`
-	Scale     float64    `json:"scale"`
-	Workers   int        `json:"workers"`
-	Warmup    int        `json:"warmup"`
-	Reps      int        `json:"reps"`
-	Seed      int64      `json:"seed"`
-	GoVersion string     `json:"go_version"`
-	Rows      []BenchRow `json:"rows"`
+	Benchmark string  `json:"benchmark"`
+	Algorithm string  `json:"algorithm"`
+	Kernels   string  `json:"kernels"`
+	Scale     float64 `json:"scale"`
+	Workers   int     `json:"workers"`
+	Warmup    int     `json:"warmup"`
+	Reps      int     `json:"reps"`
+	Seed      int64   `json:"seed"`
+	GoVersion string  `json:"go_version"`
+	Host
+	Rows []BenchRow `json:"rows"`
 
 	// Engine is the engine-amortization section (sccbench -exp engine).
 	// Each experiment rewrites only its own section, preserving the
@@ -104,6 +105,19 @@ type BenchReport struct {
 	// multipivot): worklist vs multi-pivot like-vs-like rows over the
 	// high-diameter stress set, gated by benchgate -multipivot.
 	MultiPivot *MultiPivotReport `json:"multipivot,omitempty"`
+}
+
+// Host records the parallelism of the machine a report was measured
+// on, so numbers from hosts with different core counts are not
+// compared as like for like.
+type Host struct {
+	NumCPU     int `json:"num_cpu"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+}
+
+// CurrentHost returns this process's runtime.NumCPU and GOMAXPROCS.
+func CurrentHost() Host {
+	return Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 }
 
 // BenchSweep measures Method2 over the configured datasets and
@@ -122,6 +136,7 @@ func BenchSweep(cfg BenchConfig) (BenchReport, error) {
 		Reps:      cfg.Reps,
 		Seed:      cfg.Seed,
 		GoVersion: runtime.Version(),
+		Host:      CurrentHost(),
 	}
 	for _, name := range cfg.Datasets {
 		d, err := Find(name)

@@ -88,14 +88,15 @@ type ServeScenario struct {
 
 // ServeReport is the top-level BENCH_serve.json document.
 type ServeReport struct {
-	Dataset   string          `json:"dataset"`
-	Nodes     int             `json:"nodes"`
-	Edges     int64           `json:"edges"`
-	Scale     float64         `json:"scale"`
-	Workers   int             `json:"workers"`
-	Clients   int             `json:"clients"`
-	Seed      int64           `json:"seed"`
-	GoVersion string          `json:"go_version"`
+	Dataset   string  `json:"dataset"`
+	Nodes     int     `json:"nodes"`
+	Edges     int64   `json:"edges"`
+	Scale     float64 `json:"scale"`
+	Workers   int     `json:"workers"`
+	Clients   int     `json:"clients"`
+	Seed      int64   `json:"seed"`
+	GoVersion string  `json:"go_version"`
+	Host
 	Scenarios []ServeScenario `json:"scenarios"`
 
 	// Recover is the crash-recovery matrix written by `sccbench -exp
@@ -288,6 +289,7 @@ func ServeSweep(cfg ServeBenchConfig) (ServeReport, error) {
 		Clients:   cfg.Clients,
 		Seed:      cfg.Seed,
 		GoVersion: runtime.Version(),
+		Host:      CurrentHost(),
 	}
 
 	// steady: generous caps, pure query load. The QPS/latency numbers

@@ -197,18 +197,6 @@ type Options struct {
 	// frontier covers a sizable fraction of the partition the sweep
 	// flips to bottom-up probes. §4.2 suggests exactly this upgrade.
 	DirOptBFS bool
-	// Trim2Iterations applies the Trim2+Trim pair this many times in
-	// Par-Trim′. The paper applies Trim2 exactly once because it is
-	// "computationally more expensive" (§3.4); this knob ablates that
-	// design decision. 0 selects the paper's single application.
-	Trim2Iterations int
-	// EnableTrim3 adds a single size-3 SCC detection pass after Trim2
-	// — the natural next trim order beyond the paper's §3.4. Off by
-	// default (the ablation shows diminishing returns).
-	EnableTrim3 bool
-	// UseStealing replaces the paper's two-level work queue with a
-	// work-stealing scheduler in phase 2 (§4.3 design ablation).
-	UseStealing bool
 	// Observer, if non-nil, receives structured progress events
 	// (phase boundaries, trim/BFS/WCC rounds, task completions) as the
 	// run executes. It must be safe for concurrent use; see
@@ -260,9 +248,6 @@ func (o Options) withDefaults(alg Algorithm) Options {
 	}
 	if o.PivotSample == 0 {
 		o.PivotSample = 64
-	}
-	if o.Trim2Iterations == 0 {
-		o.Trim2Iterations = 1
 	}
 	return o
 }
@@ -436,7 +421,7 @@ type engine struct {
 	// point); p2Nodes/p2SCCs accumulate the phase's totals; logMu
 	// serializes TaskLog/TaskTrace appends.
 	taskFn  func(worker int, t task)
-	runQ    taskQueue
+	runQ    *worklist.Queue[task]
 	p2Nodes atomic.Int64
 	p2SCCs  atomic.Int64
 	logMu   sync.Mutex
@@ -457,12 +442,12 @@ type engine struct {
 	// qmu guards curQ, the in-flight phase-2 queue the watchdog must
 	// abandon on a force-abort (nil outside phase 2).
 	qmu  sync.Mutex
-	curQ taskQueue
+	curQ *worklist.Queue[task]
 }
 
 // setQueue publishes (or clears) the in-flight phase-2 queue for the
 // watchdog's force-abort path.
-func (e *engine) setQueue(q taskQueue) {
+func (e *engine) setQueue(q *worklist.Queue[task]) {
 	e.qmu.Lock()
 	e.curQ = q
 	e.qmu.Unlock()
@@ -480,7 +465,7 @@ func (e *engine) abortBarriers() {
 	q := e.curQ
 	e.qmu.Unlock()
 	if q != nil {
-		q.abandon()
+		q.Abandon()
 	}
 }
 

@@ -394,36 +394,3 @@ func TestTotalTimeCoversPhases(t *testing.T) {
 		t.Fatalf("total %v vs sum of phases %v", res.Total, phases)
 	}
 }
-
-func TestIteratedTrim2SameResult(t *testing.T) {
-	// Repeating Trim2 must not change the decomposition, only shift
-	// work between phases.
-	p := gen.SmallWorldSCC(1000, 300, 2.0, 30, 1.5, 27)
-	tc, _ := seq.Tarjan(p.Graph)
-	for _, iters := range []int{1, 3, 10} {
-		res := Run(p.Graph, Method2, Options{Workers: 2, Seed: 1, Trim2Iterations: iters})
-		if !verify.SamePartition(res.Comp, tc) {
-			t.Fatalf("Trim2Iterations=%d changed the decomposition", iters)
-		}
-	}
-}
-
-func TestEnableTrim3SameResult(t *testing.T) {
-	p := gen.SmallWorldSCC(1000, 300, 2.0, 30, 1.5, 33)
-	tc, _ := seq.Tarjan(p.Graph)
-	res := Run(p.Graph, Method2, Options{Workers: 4, Seed: 1, EnableTrim3: true})
-	if !verify.SamePartition(res.Comp, tc) {
-		t.Fatal("EnableTrim3 changed the decomposition")
-	}
-}
-
-func TestStealingSchedulerSameResult(t *testing.T) {
-	p := gen.SmallWorldSCC(1000, 300, 2.0, 30, 1.5, 37)
-	tc, _ := seq.Tarjan(p.Graph)
-	for _, alg := range []Algorithm{Baseline, Method2} {
-		res := Run(p.Graph, alg, Options{Workers: 4, Seed: 1, UseStealing: true})
-		if !verify.SamePartition(res.Comp, tc) {
-			t.Fatalf("%v with stealing scheduler changed the decomposition", alg)
-		}
-	}
-}

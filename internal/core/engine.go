@@ -60,9 +60,9 @@ type Engine struct {
 
 	ar  *scratch.Arena
 	ctr *metrics.Counters
-	// pq is the persistent phase-2 queue; nil under the stealing
-	// ablation. pqWorkers/pqK record its construction shape so runs
-	// degraded to a different configuration fall back to a fresh queue.
+	// pq is the persistent phase-2 queue. pqWorkers/pqK record its
+	// construction shape so runs degraded to a different configuration
+	// fall back to a fresh queue.
 	pq        *worklist.Queue[task]
 	pqWorkers int
 	pqK       int
@@ -90,10 +90,8 @@ func NewEngine(alg Algorithm, opt Options) *Engine {
 	opt = opt.withDefaults(alg)
 	en := &Engine{alg: alg, opt: opt, ctr: &metrics.Counters{}}
 	en.ar = scratch.New(opt.Workers, en.ctr)
-	if !opt.UseStealing {
-		en.pq = worklist.New[task](opt.Workers, opt.K)
-		en.pqWorkers, en.pqK = opt.Workers, opt.K
-	}
+	en.pq = worklist.New[task](opt.Workers, opt.K)
+	en.pqWorkers, en.pqK = opt.Workers, opt.K
 	return en
 }
 
@@ -130,9 +128,7 @@ func (en *Engine) shrink() {
 	en.color, en.comp = nil, nil
 	en.run.taskBuf = nil
 	en.run.partCounts = nil
-	if en.pq != nil {
-		en.pq = worklist.New[task](en.pqWorkers, en.pqK)
-	}
+	en.pq = worklist.New[task](en.pqWorkers, en.pqK)
 	en.highN = 0
 }
 
@@ -204,8 +200,8 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, ov Overrides) (res *R
 	en.ctr.Reset()
 	en.res = Result{Comp: comp, Degraded: degraded}
 	pq := en.pq
-	if opt.UseStealing || opt.Workers != en.pqWorkers || opt.K != en.pqK {
-		pq = nil // degraded or ablated shape; phase 2 builds its own queue
+	if opt.Workers != en.pqWorkers || opt.K != en.pqK {
+		pq = nil // degraded shape; phase 2 builds its own queue
 	}
 	e := &en.run
 	e.reset(g, en.alg, opt, color, comp, &en.res, events.NewSink(runCtx, opt.Observer), en.ar, en.ctr, pq)
@@ -267,7 +263,7 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, ov Overrides) (res *R
 	e.res.Metrics.DegradedMode = degraded
 	if e.sink.Active() {
 		m := e.res.Metrics
-		e.sink.Emit(events.Event{Type: events.RunMetrics, Steals: m.Steals,
+		e.sink.Emit(events.Event{Type: events.RunMetrics,
 			BuffersReused: m.BuffersReused, BytesReused: m.BytesReused})
 	}
 	return e.res, nil

@@ -243,34 +243,16 @@ func (e *engine) runMethod2() {
 	// §3.4), then Trim iteratively again.
 	e.phaseStart(PhaseParTrimPost)
 	alive = e.parTrim(PhaseParTrimPost, alive)
-	if !e.opt.DisableTrim2 {
-		for iter := 0; iter < e.opt.Trim2Iterations && !e.stopped(); iter++ {
-			var removed int64
-			e.timePhase(PhaseParTrimPost, func() {
-				res, survivors := trim.Par2(e.sink, e.g, e.opt.Workers, e.color, e.comp, alive, e.ar)
-				e.res.Phases[PhaseParTrimPost].Nodes += res.Removed
-				e.res.Phases[PhaseParTrimPost].SCCs += res.SCCs
-				e.res.Phases[PhaseParTrimPost].Rounds += res.Rounds
-				removed = res.Removed
-				e.ar.PutNodes(alive)
-				alive = survivors
-			})
-			alive = e.parTrim(PhaseParTrimPost, alive)
-			if removed == 0 {
-				break // further Trim2 passes cannot find new pairs
-			}
-		}
-		if e.opt.EnableTrim3 && !e.stopped() {
-			e.timePhase(PhaseParTrimPost, func() {
-				res, survivors := trim.Par3(e.sink, e.g, e.opt.Workers, e.color, e.comp, alive, e.ar)
-				e.res.Phases[PhaseParTrimPost].Nodes += res.Removed
-				e.res.Phases[PhaseParTrimPost].SCCs += res.SCCs
-				e.res.Phases[PhaseParTrimPost].Rounds += res.Rounds
-				e.ar.PutNodes(alive)
-				alive = survivors
-			})
-			alive = e.parTrim(PhaseParTrimPost, alive)
-		}
+	if !e.opt.DisableTrim2 && !e.stopped() {
+		e.timePhase(PhaseParTrimPost, func() {
+			res, survivors := trim.Par2(e.sink, e.g, e.opt.Workers, e.color, e.comp, alive, e.ar)
+			e.res.Phases[PhaseParTrimPost].Nodes += res.Removed
+			e.res.Phases[PhaseParTrimPost].SCCs += res.SCCs
+			e.res.Phases[PhaseParTrimPost].Rounds += res.Rounds
+			e.ar.PutNodes(alive)
+			alive = survivors
+		})
+		alive = e.parTrim(PhaseParTrimPost, alive)
 	}
 	e.phaseEnd(PhaseParTrimPost)
 	if e.stopped() {

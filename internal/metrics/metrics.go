@@ -8,7 +8,7 @@
 // how many barrier rounds each kernel ran, how large the BFS frontiers
 // were (and how often the sweep flipped to the bitmap representation),
 // how much scratch memory was recycled instead of reallocated, and how
-// much the phase-2 scheduler moved. A Snapshot of the final values is
+// many phase-2 tasks ran. A Snapshot of the final values is
 // attached to every Result and dumped by cmd/sccbench into
 // BENCH_scc.json, which is what CI trends.
 //
@@ -61,10 +61,8 @@ type Counters struct {
 	ReachClaims    atomic.Int64
 	LocalCollapses atomic.Int64
 
-	// Phase-2 scheduler: tasks executed and (stealing ablation only)
-	// successful steals.
-	Tasks  atomic.Int64
-	Steals atomic.Int64
+	// Phase-2 scheduler: tasks executed.
+	Tasks atomic.Int64
 
 	// Scratch arena: buffer reuses that would otherwise have been
 	// fresh allocations, and the capacity (in bytes) those reuses
@@ -178,15 +176,6 @@ func (c *Counters) AddTask() {
 	c.Tasks.Add(1)
 }
 
-// AddSteals records successful work steals (stealing-scheduler
-// ablation).
-func (c *Counters) AddSteals(n int64) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.Steals.Add(n)
-}
-
 // AddReuse records one scratch-buffer reuse recycling capBytes of
 // previously allocated capacity.
 func (c *Counters) AddReuse(capBytes int64) {
@@ -225,7 +214,6 @@ func (c *Counters) Reset() {
 	c.ReachClaims.Store(0)
 	c.LocalCollapses.Store(0)
 	c.Tasks.Store(0)
-	c.Steals.Store(0)
 	c.BuffersReused.Store(0)
 	c.BytesReused.Store(0)
 }
@@ -297,10 +285,8 @@ type Snapshot struct {
 	ReachWaves     int64
 	ReachClaims    int64
 	LocalCollapses int64
-	// Tasks is the number of phase-2 tasks executed; Steals the
-	// successful steals under the work-stealing ablation.
-	Tasks  int64
-	Steals int64
+	// Tasks is the number of phase-2 tasks executed.
+	Tasks int64
 	// BuffersReused counts scratch-buffer reuses that replaced fresh
 	// allocations; BytesReused is the capacity they recycled.
 	BuffersReused int64
@@ -336,7 +322,6 @@ func (c *Counters) Snapshot() Snapshot {
 		ReachClaims:    c.ReachClaims.Load(),
 		LocalCollapses: c.LocalCollapses.Load(),
 		Tasks:          c.Tasks.Load(),
-		Steals:         c.Steals.Load(),
 		BuffersReused:  c.BuffersReused.Load(),
 		BytesReused:    c.BytesReused.Load(),
 	}

@@ -47,32 +47,3 @@ func TestQueueCancelIdempotent(t *testing.T) {
 	q.Run(func(w, item int) { t.Error("executed after cancel") })
 	q.Cancel()
 }
-
-// TestStealingCancelBeforeRun mirrors the pre-Run Cancel check for
-// the work-stealing scheduler.
-func TestStealingCancelBeforeRun(t *testing.T) {
-	q := NewStealing[int](4)
-	q.Seed([]int{1, 2, 3, 4})
-	q.Cancel()
-	var executed atomic.Int64
-	q.Run(func(w, item int) { executed.Add(1) })
-	if n := executed.Load(); n != 0 {
-		t.Fatalf("pre-canceled stealing queue executed %d items", n)
-	}
-}
-
-// TestStealingCancelMidRun cancels the stealing scheduler mid-run.
-func TestStealingCancelMidRun(t *testing.T) {
-	const items = 10000
-	q := NewStealing[int](4)
-	q.Seed(make([]int, items))
-	var executed atomic.Int64
-	q.Run(func(w, item int) {
-		if executed.Add(1) == 1 {
-			q.Cancel()
-		}
-	})
-	if n := executed.Load(); n == 0 || n >= items {
-		t.Fatalf("canceled stealing queue executed %d of %d items", n, items)
-	}
-}

@@ -93,49 +93,3 @@ func TestQueueAbandonReleasesWedgedRun(t *testing.T) {
 	}
 	close(wedge)
 }
-
-func TestStealingTaskPanicBecomesWorkerPanic(t *testing.T) {
-	q := NewStealing[int](4)
-	q.Seed([]int{1, 2, 3, 4, 5, 6, 7, 8})
-	v := recoverPanic(func() {
-		q.Run(func(w, item int) {
-			if item == 3 {
-				panic("steal boom")
-			}
-		})
-	})
-	wp, ok := v.(*parallel.WorkerPanic)
-	if !ok {
-		t.Fatalf("Run panicked %v (%T), want *parallel.WorkerPanic", v, v)
-	}
-	if wp.Value != "steal boom" {
-		t.Fatalf("captured %v, want steal boom", wp.Value)
-	}
-}
-
-func TestStealingAbandonReleasesWedgedRun(t *testing.T) {
-	q := NewStealing[int](2)
-	q.Seed([]int{1, 2})
-	wedge := make(chan struct{})
-	runDone := make(chan any, 1)
-	go func() {
-		runDone <- recoverPanic(func() {
-			q.Run(func(w, item int) {
-				if item == 1 {
-					<-wedge
-				}
-			})
-		})
-	}()
-	time.Sleep(20 * time.Millisecond)
-	q.Abandon()
-	select {
-	case v := <-runDone:
-		if err, ok := v.(error); !ok || !errors.Is(err, parallel.ErrBarrierAbandoned) {
-			t.Fatalf("abandoned Run panicked %v, want ErrBarrierAbandoned", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Abandon did not release the wedged Run")
-	}
-	close(wedge)
-}

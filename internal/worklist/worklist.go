@@ -225,13 +225,14 @@ func (q *Queue[T]) Reset() {
 }
 
 // runItem executes one task, capturing a panic instead of crashing:
-// the first panic wins the trap and cancels the queue so the other
-// workers stop dispatching.
+// the queue is canceled first, so peers stop dispatching while the
+// panicking worker is still formatting its stack trace, and then the
+// first panic wins the trap.
 func (q *Queue[T]) runItem(w int, fn func(worker int, item T), item T) {
 	defer func() {
 		if v := recover(); v != nil {
-			q.trap.Capture(w, v)
 			q.Cancel()
+			q.trap.Capture(w, v)
 		}
 	}()
 	fn(w, item)

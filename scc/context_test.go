@@ -273,7 +273,6 @@ func TestDetectTypedErrors(t *testing.T) {
 		{"MaxPhase1Trials", scc.Options{MaxPhase1Trials: -1}},
 		{"TraceTasks", scc.Options{TraceTasks: -2}},
 		{"PivotSample", scc.Options{PivotSample: -1}},
-		{"Trim2Iterations", scc.Options{Trim2Iterations: -3}},
 		{"Algorithm", scc.Options{Algorithm: scc.Algorithm(99)}},
 	}
 	for _, tc := range cases {

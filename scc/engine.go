@@ -355,7 +355,6 @@ func fillFromCore(dst *Result, a Algorithm, r *core.Result) {
 			ReachClaims:    r.Metrics.ReachClaims,
 			LocalCollapses: r.Metrics.LocalCollapses,
 			Tasks:          r.Metrics.Tasks,
-			Steals:         r.Metrics.Steals,
 			BuffersReused:  r.Metrics.BuffersReused,
 			BytesReused:    r.Metrics.BytesReused,
 			DegradedMode:   r.Metrics.DegradedMode,

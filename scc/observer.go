@@ -47,9 +47,8 @@ const (
 	// last checkpoint; Nodes is the number of supersteps replayed.
 	EventRollback = events.Rollback
 	// EventRunMetrics is emitted once at the end of a successful
-	// parallel run; Steals, BuffersReused and BytesReused carry the
-	// run's scheduler and scratch-arena counters (the full snapshot is
-	// Result.Metrics).
+	// parallel run; BuffersReused and BytesReused carry the run's
+	// scratch-arena counters (the full snapshot is Result.Metrics).
 	EventRunMetrics = events.RunMetrics
 	// EventStalled reports the stall watchdog (Options.StallTimeout)
 	// detecting a run with no kernel progress for the configured

@@ -232,15 +232,6 @@ type Options struct {
 	// DirOptBFS enables direction-optimizing BFS for the phase-1
 	// reachability sweeps (the §4.2 Beamer-style upgrade).
 	DirOptBFS bool
-	// Trim2Iterations repeats Method2's Trim2+Trim pair (the paper
-	// applies Trim2 once, §3.4); 0 = once.
-	Trim2Iterations int
-	// EnableTrim3 adds a size-3 SCC detection pass after Trim2 (an
-	// extension beyond the paper; see BenchmarkAblationTrim3).
-	EnableTrim3 bool
-	// UseStealing swaps the §4.3 two-level work queue for a
-	// work-stealing scheduler in the recursive phase (design ablation).
-	UseStealing bool
 	// Validate re-checks the decomposition against the graph before
 	// returning (adds O(n+m) verification time).
 	Validate bool
@@ -422,10 +413,8 @@ type MetricsSnapshot struct {
 	ReachClaims    int64
 	LocalCollapses int64
 	// Tasks is the number of recursive-phase tasks executed (partition
-	// classifications under KernelsMultiPivot); Steals the successful
-	// steals under the work-stealing ablation.
-	Tasks  int64
-	Steals int64
+	// classifications under KernelsMultiPivot).
+	Tasks int64
 	// BuffersReused counts scratch-arena buffer reuses that replaced
 	// fresh allocations; BytesReused is the capacity they recycled.
 	BuffersReused int64
@@ -459,8 +448,6 @@ func validateOptions(opts Options) error {
 		return &OptionError{Field: "TraceTasks", Value: opts.TraceTasks, Reason: "must be >= 0"}
 	case opts.PivotSample < 0:
 		return &OptionError{Field: "PivotSample", Value: opts.PivotSample, Reason: "must be >= 0"}
-	case opts.Trim2Iterations < 0:
-		return &OptionError{Field: "Trim2Iterations", Value: opts.Trim2Iterations, Reason: "must be >= 0"}
 	case opts.StallTimeout < 0:
 		return &OptionError{Field: "StallTimeout", Value: opts.StallTimeout, Reason: "must be >= 0"}
 	case opts.MemoryLimit < 0:
@@ -567,9 +554,6 @@ func coreOptions(opts Options) core.Options {
 		PivotSample:     opts.PivotSample,
 		TraceSchedule:   opts.TraceSchedule,
 		DirOptBFS:       opts.DirOptBFS,
-		Trim2Iterations: opts.Trim2Iterations,
-		EnableTrim3:     opts.EnableTrim3,
-		UseStealing:     opts.UseStealing,
 		Observer:        opts.Observer,
 		StallTimeout:    opts.StallTimeout,
 		MemoryLimit:     opts.MemoryLimit,
