@@ -54,14 +54,14 @@ func dataset(b *testing.B, name string) *graph.Graph {
 	return g
 }
 
-func benchDetect(b *testing.B, name string, alg scc.Algorithm, opts scc.Options) {
+func benchDetect(b *testing.B, name string, alg scc.Algorithm, opts scc.Options, runOpts ...scc.RunOption) {
 	g := dataset(b, name)
 	opts.Algorithm = alg
 	b.SetBytes(g.NumEdges() * 4) // bandwidth-ish: one int32 per edge
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scc.Detect(g, opts); err != nil {
+		if _, err := scc.Detect(g, opts, runOpts...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func BenchmarkDetect(b *testing.B) {
 	})
 	b.Run("counting-observer", func(b *testing.B) {
 		var count atomic.Int64
-		benchDetect(b, "livej", scc.Method2, scc.Options{Seed: 1,
-			Observer: scc.ObserverFunc(func(scc.Event) { count.Add(1) })})
+		benchDetect(b, "livej", scc.Method2, scc.Options{Seed: 1},
+			scc.WithObserver(scc.ObserverFunc(func(scc.Event) { count.Add(1) })))
 	})
 }

@@ -16,9 +16,12 @@
 //
 // Robustness controls: -mem-limit degrades the run to fit a memory
 // budget, -stall-timeout arms the no-progress watchdog, and the
-// -chaos-* flags inject deterministic failures. Failures exit with
-// distinct codes: canceled or invalid usage 2, stalled 3, worker
-// panic 4 (stack on stderr), budget too small 5.
+// -chaos-* flags inject deterministic failures. -progress, -mem-limit
+// and -chaos-* are passed as per-run options (scc.WithObserver,
+// scc.WithMemoryLimit, scc.WithChaos) to every run, so under -repeat
+// each run gets the same budget and its own chaos hit ordinals.
+// Failures exit with distinct codes: canceled or invalid usage 2,
+// stalled 3, worker panic 4 (stack on stderr), budget too small 5.
 //
 //	sccrun -alg method2 -mem-limit 64M -stall-timeout 10s graph.sccg
 //	sccrun -alg method2 -chaos-panic bfs:2 graph.sccg
@@ -141,17 +144,23 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var obs scc.Observer
+	var runOpts []scc.RunOption
 	if *progress {
-		obs = progressObserver{}
+		runOpts = append(runOpts, scc.WithObserver(progressObserver{}))
 	}
 	limit, err := parseBytes(*memLimit)
 	if err != nil {
 		fatal(err)
 	}
+	if limit > 0 {
+		runOpts = append(runOpts, scc.WithMemoryLimit(limit))
+	}
 	chaosCfg, err := parseChaos(*chaosPanic, *chaosStall, *chaosFor)
 	if err != nil {
 		fatal(err)
+	}
+	if chaosCfg != nil {
+		runOpts = append(runOpts, scc.WithChaos(chaosCfg))
 	}
 	opts := scc.Options{
 		Algorithm:     alg,
@@ -162,10 +171,7 @@ func main() {
 		Validate:      *validate,
 		TraceTasks:    *tasklog,
 		TraceSchedule: *chrome != "",
-		Observer:      obs,
-		MemoryLimit:   limit,
 		StallTimeout:  *stallTimeout,
-		Chaos:         chaosCfg,
 	}
 	var res *scc.Result
 	var err2 error
@@ -179,7 +185,7 @@ func main() {
 		defer eng.Close()
 		t0 := time.Now()
 		for i := 0; i < *repeat; i++ {
-			if res, err2 = eng.Detect(ctx, g); err2 != nil {
+			if res, err2 = eng.Detect(ctx, g, runOpts...); err2 != nil {
 				os.Exit(reportFailure(err2, *timeout))
 			}
 		}
@@ -188,7 +194,7 @@ func main() {
 			*repeat, total.Round(time.Microsecond),
 			(total / time.Duration(*repeat)).Round(time.Microsecond))
 	} else {
-		res, err2 = scc.DetectContext(ctx, g, opts)
+		res, err2 = scc.DetectContext(ctx, g, opts, runOpts...)
 		if err2 != nil {
 			os.Exit(reportFailure(err2, *timeout))
 		}

@@ -42,6 +42,10 @@
 // runs, /readyz answers 503 {"reason":"recovering"} with Retry-After
 // so load balancers skip the cold replica.
 //
+// -mem-limit budgets every detection run the server makes (rebuilds,
+// partial recomputes and POST /scc alike); -stall-timeout arms the
+// watchdog on each of them.
+//
 // Exit codes: 0 clean drain, 1 runtime failure, 2 bad usage, 3 graph
 // load or recovery failed, 4 drain timed out with requests still in
 // flight.
@@ -218,9 +222,9 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 			K:            *k,
 			Seed:         *seed,
 			Kernels:      kern,
-			MemoryLimit:  memBytes,
 			StallTimeout: *stallTimeout,
 		},
+		MemoryLimit:    memBytes,
 		MaxInflight:    *maxInflight,
 		QueueDepth:     *queueDepth,
 		QueueWait:      *queueWait,
@@ -232,10 +236,10 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 
 		DisableIncr:     *noIncr,
 		IncrVerifyEvery: *incrVerifyEvery,
-		RebuildChaos:   chaosCfg,
-		ChaosAtRebuild: *chaosRebuild,
-		Durable:        store,
-		Logf:           logf,
+		RebuildChaos:    chaosCfg,
+		ChaosAtRebuild:  *chaosRebuild,
+		Durable:         store,
+		Logf:            logf,
 	}, g)
 	if err != nil {
 		if errors.Is(err, scc.ErrInvalidOption) {

@@ -82,8 +82,9 @@ type MultiPivotReport struct {
 
 // MultiPivotSweep measures Method2 under the worklist and multi-pivot
 // kernels over the high-diameter stress set plus small-world controls.
-// Both kernels see identical graphs, seeds and worker counts, so a row
-// is a direct like-vs-like comparison.
+// Both kernels see identical graphs, seeds and worker counts, and
+// their measured reps alternate, so a row is a direct like-vs-like
+// comparison.
 func MultiPivotSweep(cfg MultiPivotBenchConfig) (MultiPivotReport, error) {
 	cfg = cfg.withDefaults()
 	rep := MultiPivotReport{
@@ -111,41 +112,43 @@ func MultiPivotSweep(cfg MultiPivotBenchConfig) (MultiPivotReport, error) {
 			Dataset: e.name, HighDiameter: e.high,
 			Nodes: g.NumNodes(), Edges: g.NumEdges(),
 		}
-		for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsMultiPivot} {
-			opts := scc.Options{
+		// Warmups first, then the measured reps interleaved: each rep
+		// times one worklist run and then one multi-pivot run, so host
+		// drift over the sweep lands on both kernels alike.
+		kernels := [2]scc.Kernels{scc.KernelsWorklist, scc.KernelsMultiPivot}
+		var opts [2]scc.Options
+		for k, kern := range kernels {
+			opts[k] = scc.Options{
 				Algorithm: scc.Method2, Workers: cfg.Workers,
 				Seed: cfg.Seed, Kernels: kern,
 			}
 			for i := 0; i < cfg.Warmup; i++ {
-				if _, err := scc.Detect(g, opts); err != nil {
+				if _, err := scc.Detect(g, opts[k]); err != nil {
 					return rep, fmt.Errorf("%s/%s warmup: %w", e.name, kern, err)
 				}
 			}
-			var sum float64
-			minNs := int64(math.MaxInt64)
-			for i := 0; i < cfg.Reps; i++ {
+		}
+		var sum [2]float64
+		minNs := [2]int64{math.MaxInt64, math.MaxInt64}
+		for i := 0; i < cfg.Reps; i++ {
+			for k, kern := range kernels {
 				t0 := time.Now()
-				res, err := scc.Detect(g, opts)
+				res, err := scc.Detect(g, opts[k])
 				elapsed := time.Since(t0).Nanoseconds()
 				if err != nil {
 					return rep, fmt.Errorf("%s/%s rep %d: %w", e.name, kern, i, err)
 				}
-				sum += float64(elapsed)
-				if elapsed < minNs {
-					minNs = elapsed
-				}
+				sum[k] += float64(elapsed)
+				minNs[k] = min(minNs[k], elapsed)
 				row.NumSCCs = res.NumSCCs
 				if kern == scc.KernelsMultiPivot {
 					row.Metrics = res.Metrics
 				}
 			}
-			mean := sum / float64(cfg.Reps)
-			if kern == scc.KernelsWorklist {
-				row.WorklistNs, row.WorklistMin = mean, minNs
-			} else {
-				row.MultiPivotNs, row.MultiPivotMin = mean, minNs
-			}
 		}
+		reps := float64(cfg.Reps)
+		row.WorklistNs, row.WorklistMin = sum[0]/reps, minNs[0]
+		row.MultiPivotNs, row.MultiPivotMin = sum[1]/reps, minNs[1]
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil

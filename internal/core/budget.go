@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// BudgetError reports that a run cannot fit Options.MemoryLimit even
+// BudgetError reports that a run cannot fit RunConfig.MemoryLimit even
 // in its most degraded configuration. No work was started.
 type BudgetError struct {
 	// Limit is the configured budget in bytes.
@@ -86,13 +86,13 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 }
 
 // applyBudget walks the degradation ladder until the estimated
-// footprint fits opt.MemoryLimit: halve the workers down to 1, then
-// drop the direction-optimizing BFS bitmap in favor of the queue
-// frontier, then cap the task batch at K=1. It returns the (possibly
-// degraded) options and a human-readable note of the steps taken, or
-// a *BudgetError when even the floor configuration does not fit.
-func applyBudget(n int, alg Algorithm, opt Options) (Options, string, error) {
-	limit := opt.MemoryLimit
+// footprint fits limit bytes: halve the workers down to 1, then drop
+// the direction-optimizing BFS bitmap in favor of the queue frontier,
+// then cap the task batch at K=1. It returns the (possibly degraded)
+// options and a human-readable note of the steps taken, or a
+// *BudgetError when even the floor configuration does not fit. A
+// limit <= 0 disables the budget and returns opt unchanged.
+func applyBudget(n int, alg Algorithm, opt Options, limit int64) (Options, string, error) {
 	if limit <= 0 {
 		return opt, "", nil
 	}

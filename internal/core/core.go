@@ -24,13 +24,11 @@ import (
 
 	"repro/graph"
 	"repro/internal/bfs"
-	"repro/internal/chaos"
 	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/reach"
 	"repro/internal/scratch"
-	"repro/internal/watchdog"
 	"repro/internal/worklist"
 )
 
@@ -197,11 +195,6 @@ type Options struct {
 	// frontier covers a sizable fraction of the partition the sweep
 	// flips to bottom-up probes. §4.2 suggests exactly this upgrade.
 	DirOptBFS bool
-	// Observer, if non-nil, receives structured progress events
-	// (phase boundaries, trim/BFS/WCC rounds, task completions) as the
-	// run executes. It must be safe for concurrent use; see
-	// internal/events. A nil observer costs nothing.
-	Observer events.Observer
 	// StallTimeout, when > 0, arms a per-run watchdog: if no kernel
 	// completes a round (trim iteration, BFS level, WCC round, phase-2
 	// task) for this long, the run emits a Stalled event and aborts
@@ -211,22 +204,6 @@ type Options struct {
 	// window after the context fires (kernels otherwise notice
 	// cancellation only at round boundaries). 0 disables it.
 	StallTimeout time.Duration
-	// MemoryLimit, when > 0, bounds the estimated worst-case engine +
-	// scratch footprint in bytes. A configuration over the limit is
-	// degraded stepwise (fewer workers, then queue frontier instead of
-	// the direction-optimizing bitmap, then task batch K=1) before the
-	// run starts; if even the floor configuration does not fit,
-	// RunContext fails with a *BudgetError. The applied degradation is
-	// recorded in Result.Degraded and Result.Metrics.DegradedMode.
-	MemoryLimit int64
-	// Chaos, if non-nil, injects deterministic failures at the named
-	// kernel sites (see internal/chaos) for robustness testing. The
-	// injector is bound to the run's context so injected stalls unwind
-	// on cancellation or abort. Nil costs nothing.
-	Chaos *chaos.Injector
-	// WatchClock overrides the watchdog's clock (tests only; nil
-	// selects the wall clock).
-	WatchClock watchdog.Clock
 }
 
 func (o Options) withDefaults(alg Algorithm) Options {
@@ -314,7 +291,7 @@ type Result struct {
 	// barrier rounds, frontier sizes, phase-2 scheduler activity and
 	// scratch-arena reuse (see internal/metrics).
 	Metrics metrics.Snapshot
-	// Degraded notes the degradation steps Options.MemoryLimit forced
+	// Degraded notes the degradation steps RunConfig.MemoryLimit forced
 	// (e.g. "workers=2,workers=1,diropt=off"); empty when the run
 	// executed as configured. Also mirrored to Metrics.DegradedMode.
 	Degraded string
@@ -456,7 +433,7 @@ func (e *engine) setQueue(q *worklist.Queue[task]) {
 // abortBarriers force-releases every barrier the coordinating
 // goroutine could be wedged on: the arena's gang and the phase-2 work
 // queue. Called from the watchdog goroutine; the released dispatcher
-// panics parallel.ErrBarrierAbandoned, which RunContext's recover
+// panics parallel.ErrBarrierAbandoned, which Engine.Run's recover
 // turns into the run's error.
 func (e *engine) abortBarriers() {
 	e.barriersAborted.Store(true)

@@ -24,23 +24,28 @@ var ErrEngineUnusable = errors.New("core: engine unusable after forced barrier a
 // accounting. Kept in sync with the task struct by TestTaskBytes.
 const taskBytes = 40
 
-// Overrides carries per-run option overrides for Engine.Run. Each
-// value is paired with a Has flag so a zero override (nil observer, 0
-// memory limit) can still replace the engine-level default without
-// copying whole Options structs around.
-type Overrides struct {
-	// Observer replaces the engine's Options.Observer when HasObserver
-	// is set (a nil Observer then disables engine-level observation for
-	// the run).
-	Observer    events.Observer
-	HasObserver bool
-	// MemoryLimit replaces Options.MemoryLimit when HasMemoryLimit is
-	// set (0 then disables the budget for the run).
-	MemoryLimit    int64
-	HasMemoryLimit bool
-	// Chaos replaces Options.Chaos when HasChaos is set.
-	Chaos    *chaos.Injector
-	HasChaos bool
+// RunConfig carries the settings of a single Engine.Run. The zero
+// value runs with no observer, no memory budget and no chaos.
+type RunConfig struct {
+	// Observer, if non-nil, receives structured progress events
+	// (phase boundaries, trim/BFS/WCC rounds, task completions) as the
+	// run executes. It must be safe for concurrent use; see
+	// internal/events. A nil observer costs nothing.
+	Observer events.Observer
+	// MemoryLimit, when > 0, bounds the estimated worst-case engine +
+	// scratch footprint in bytes. A configuration over the limit is
+	// degraded stepwise (fewer workers, then queue frontier instead of
+	// the direction-optimizing bitmap, then task batch K=1) before the
+	// run starts; if even the floor configuration does not fit, Run
+	// fails with a *BudgetError. The applied degradation is recorded in
+	// Result.Degraded and Result.Metrics.DegradedMode. Scratch retained
+	// from earlier runs counts against the limit too.
+	MemoryLimit int64
+	// Chaos, if non-nil, injects deterministic failures at the named
+	// kernel sites (see internal/chaos) for robustness testing. The
+	// injector is bound to the run's context so injected stalls unwind
+	// on cancellation or abort. Nil costs nothing.
+	Chaos *chaos.Injector
 }
 
 // Engine is a persistent detection runtime: the worker gang, scratch
@@ -48,8 +53,8 @@ type Overrides struct {
 // and result storage are created once and reused by every Run, so a
 // warm engine's steady-state run allocates nothing for graphs at or
 // below its high-water node count. It is the amortization layer behind
-// the public scc.Engine; the free RunContext function wraps a
-// throwaway Engine to preserve the one-shot semantics.
+// the public scc.Engine; the free Run function wraps a throwaway
+// Engine for one-shot use.
 //
 // An Engine is not safe for concurrent use: the caller serializes Run,
 // RunBatch and Close (scc.Engine does this with a mutex). The *Result
@@ -133,30 +138,31 @@ func (en *Engine) shrink() {
 }
 
 // Run executes the engine's algorithm on g under ctx, reusing every
-// piece of engine state a previous run grew. Semantics match the free
-// RunContext function: cooperative cancellation at round boundaries,
-// captured worker panics returned as *parallel.WorkerPanic, watchdog
-// stalls as *StallError, budget rejections as *BudgetError. ov applies
-// per-run overrides on top of the engine's construction Options.
+// piece of engine state a previous run grew. rc supplies this run's
+// observer, memory budget and chaos injector.
+//
+// Cancellation is cooperative: the engine polls ctx at every phase
+// boundary, and the kernels poll it at every barrier-synchronized
+// round (trim iterations, BFS levels, WCC rounds, work-queue
+// dequeues). A canceled run unwinds cleanly — all worker goroutines
+// join before Run returns — and yields (nil, ctx.Err()).
+//
+// Failure envelope: a panic on any worker (or on the coordinating
+// goroutine inside a kernel) is captured and returned as a
+// *parallel.WorkerPanic error after the run tears down — never a
+// process crash. With Options.StallTimeout a wedged run is aborted
+// with a *StallError; with rc.MemoryLimit an over-budget
+// configuration is degraded or rejected with a *BudgetError before
+// any work starts.
 //
 // The returned Result is engine-owned: it (including Comp) is valid
 // only until the next Run/RunBatch on this engine.
-func (en *Engine) Run(ctx context.Context, g *graph.Graph, ov Overrides) (res *Result, err error) {
+func (en *Engine) Run(ctx context.Context, g *graph.Graph, rc RunConfig) (res *Result, err error) {
 	if en.Dead() {
 		return nil, ErrEngineUnusable
 	}
-	opt := en.opt
-	if ov.HasObserver {
-		opt.Observer = ov.Observer
-	}
-	if ov.HasMemoryLimit {
-		opt.MemoryLimit = ov.MemoryLimit
-	}
-	if ov.HasChaos {
-		opt.Chaos = ov.Chaos
-	}
 	n := g.NumNodes()
-	opt, degraded, err := applyBudget(n, en.alg, opt)
+	opt, degraded, err := applyBudget(n, en.alg, en.opt, rc.MemoryLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +170,7 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, ov Overrides) (res *R
 	// (larger) runs counts against this run's budget too — a budgeted
 	// small-graph run after an unbudgeted large one must not keep the
 	// large footprint alive.
-	if opt.MemoryLimit > 0 && en.retainedBytes() > opt.MemoryLimit {
+	if rc.MemoryLimit > 0 && en.retainedBytes() > rc.MemoryLimit {
 		en.shrink()
 	}
 
@@ -175,7 +181,7 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, ov Overrides) (res *R
 	// caller's context (and the nil-sink fast path) untouched.
 	runCtx := ctx
 	var cancel context.CancelCauseFunc
-	if opt.StallTimeout > 0 || opt.Chaos != nil {
+	if opt.StallTimeout > 0 || rc.Chaos != nil {
 		runCtx, cancel = context.WithCancelCause(ctx)
 		defer cancel(nil)
 	}
@@ -204,10 +210,10 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, ov Overrides) (res *R
 		pq = nil // degraded shape; phase 2 builds its own queue
 	}
 	e := &en.run
-	e.reset(g, en.alg, opt, color, comp, &en.res, events.NewSink(runCtx, opt.Observer), en.ar, en.ctr, pq)
-	e.ar.SetChaos(opt.Chaos)
-	if opt.Chaos != nil {
-		opt.Chaos.Bind(runCtx.Done())
+	e.reset(g, en.alg, opt, color, comp, &en.res, events.NewSink(runCtx, rc.Observer), en.ar, en.ctr, pq)
+	e.ar.SetChaos(rc.Chaos)
+	if rc.Chaos != nil {
+		rc.Chaos.Bind(runCtx.Done())
 	}
 
 	if opt.StallTimeout > 0 {
@@ -218,7 +224,6 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, ov Overrides) (res *R
 		window, stallCancel := opt.StallTimeout, cancel
 		wd := watchdog.Start(runCtx, watchdog.Config{
 			Window:   window,
-			Clock:    opt.WatchClock,
 			Progress: e.ctr.Progress,
 			OnStall: func() {
 				e.sink.EmitPhase(events.Event{Type: events.Stalled,

@@ -16,46 +16,20 @@ import (
 	"repro/internal/wcc"
 )
 
-// Run executes the selected algorithm on g and returns the SCC
-// decomposition with full instrumentation. It is RunContext with a
-// background context: it cannot be canceled and never returns an
-// error — a failure RunContext would report (a captured worker panic,
-// a memory budget violation) is re-raised as a panic, matching the
-// crash semantics this entry point always had.
+// Run executes the selected algorithm on g on a throwaway Engine and
+// returns the SCC decomposition with full instrumentation. It cannot
+// be canceled and never returns an error: a failure Engine.Run would
+// report (a captured worker panic, a stall) is re-raised as a panic.
+// Callers that need cancellation, per-run settings or engine state
+// amortized across runs hold an Engine.
 func Run(g *graph.Graph, alg Algorithm, opt Options) *Result {
-	res, err := RunContext(context.Background(), g, alg, opt)
+	en := NewEngine(alg, opt)
+	defer en.Close()
+	res, err := en.Run(context.Background(), g, RunConfig{})
 	if err != nil {
 		panic(err)
 	}
 	return res
-}
-
-// RunContext executes the selected algorithm on g under ctx.
-// Cancellation is cooperative: the engine polls ctx at every phase
-// boundary, and the kernels poll it at every barrier-synchronized
-// round (trim iterations, BFS levels, WCC rounds, work-queue
-// dequeues). A canceled run unwinds cleanly — all worker goroutines
-// join before RunContext returns — and yields (nil, ctx.Err()).
-//
-// Failure envelope: a panic on any worker (or on the coordinating
-// goroutine inside a kernel) is captured and returned as a
-// *parallel.WorkerPanic error after the run tears down — arena
-// released, workers joined, never a process crash. With
-// Options.StallTimeout a wedged run is aborted with a *StallError;
-// with Options.MemoryLimit an over-budget configuration is degraded
-// or rejected with a *BudgetError before any work starts.
-//
-// Progress events are delivered to opt.Observer (see
-// internal/events); with no observer and a never-canceled context the
-// instrumentation adds no measurable cost.
-func RunContext(ctx context.Context, g *graph.Graph, alg Algorithm, opt Options) (res *Result, err error) {
-	// One-shot semantics via a throwaway Engine: the arena, counters
-	// and queue live for exactly this run and the gang is released on
-	// return, exactly as this entry point always behaved. Callers that
-	// want the engine state amortized across runs hold an Engine.
-	en := NewEngine(alg, opt)
-	defer en.Close()
-	return en.Run(ctx, g, Overrides{})
 }
 
 // teardownErr resolves the error a torn-down run should report: the

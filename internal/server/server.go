@@ -25,6 +25,10 @@ type Config struct {
 	// Options configures the pinned detection engine. Validation
 	// happens once, in New, exactly as scc.New would.
 	Options scc.Options
+	// MemoryLimit, when > 0, is the byte budget of every detection run
+	// on the engine (scc.WithMemoryLimit): rebuilds, the maintainer's
+	// partial recomputes and POST /scc alike. 0 disables it.
+	MemoryLimit int64
 
 	// MaxInflight bounds the number of requests executing concurrently
 	// past admission control. Default 64.
@@ -160,6 +164,9 @@ type Server struct {
 	// it after a watchdog force-abort.
 	engineMu sync.Mutex
 	engine   *scc.Engine
+	// runOpts are the per-run options every detection run passes to
+	// engine, built once in New from Config.MemoryLimit.
+	runOpts []scc.RunOption
 
 	// edgeMu guards the authoritative update queue consumed by epoch
 	// rebuilds, the node/edge totals used for limit checks, batches
@@ -254,14 +261,22 @@ func New(cfg Config, g *graph.Graph) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", scc.ErrNilGraph)
 	}
 	cfg = cfg.withDefaults()
+	if cfg.MemoryLimit < 0 {
+		return nil, &scc.OptionError{Field: "MemoryLimit", Value: cfg.MemoryLimit, Reason: "must be >= 0"}
+	}
 	eng, err := scc.New(cfg.Options)
 	if err != nil {
 		return nil, err
+	}
+	var runOpts []scc.RunOption
+	if cfg.MemoryLimit > 0 {
+		runOpts = []scc.RunOption{scc.WithMemoryLimit(cfg.MemoryLimit)}
 	}
 	s := &Server{
 		cfg:      cfg,
 		ctr:      cfg.Counters,
 		engine:   eng,
+		runOpts:  runOpts,
 		nodes:    g.NumNodes(),
 		kick:     make(chan struct{}, 1),
 		slots:    make(chan struct{}, cfg.MaxInflight),
@@ -833,9 +848,9 @@ func (s *Server) detectAndCondense(ctx context.Context, g *graph.Graph, sabotage
 			err = &scc.PanicError{Value: v, Stack: debug.Stack()}
 		}
 	}()
-	var runOpts []scc.RunOption
+	runOpts := s.runOpts
 	if sabotage {
-		runOpts = append(runOpts, scc.WithChaos(s.cfg.RebuildChaos))
+		runOpts = append(runOpts[:len(runOpts):len(runOpts)], scc.WithChaos(s.cfg.RebuildChaos))
 	}
 	res, err := s.engine.Detect(ctx, g, runOpts...)
 	if err != nil {
@@ -864,7 +879,7 @@ func (s *Server) detectAndCondense(ctx context.Context, g *graph.Graph, sabotage
 func (s *Server) detectLabels(ctx context.Context, g *graph.Graph) ([]int32, error) {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
-	res, err := s.engine.Detect(ctx, g)
+	res, err := s.engine.Detect(ctx, g, s.runOpts...)
 	if err != nil {
 		s.repairEngine(err)
 		return nil, err
@@ -902,7 +917,7 @@ func (s *Server) detectAdhoc(ctx context.Context, g *graph.Graph) (buildInfo, er
 		return buildInfo{}, fmt.Errorf("server: adhoc detect: %w", scc.ErrEngineBusy)
 	}
 	defer s.engineMu.Unlock()
-	res, err := s.engine.Detect(ctx, g)
+	res, err := s.engine.Detect(ctx, g, s.runOpts...)
 	if err != nil {
 		s.repairEngine(err)
 		return buildInfo{}, err

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -330,6 +331,36 @@ func TestChaosInitialBuildFailsNew(t *testing.T) {
 	if s, err := New(cfg, testGraph()); err == nil {
 		s.Close()
 		t.Fatal("New with sabotaged initial build: got nil error")
+	}
+}
+
+// TestMemoryLimitBudgetsRuns checks that Config.MemoryLimit reaches
+// the server's detection runs: a negative limit is rejected up front,
+// a limit no configuration fits fails the initial build with
+// ErrMemoryBudget, and a comfortable limit serves normally.
+func TestMemoryLimitBudgetsRuns(t *testing.T) {
+	cfg := quietCfg()
+	cfg.MemoryLimit = -1
+	if s, err := New(cfg, testGraph()); !errors.Is(err, scc.ErrInvalidOption) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("MemoryLimit -1: want ErrInvalidOption, got %v", err)
+	}
+	cfg.MemoryLimit = 1
+	if s, err := New(cfg, testGraph()); !errors.Is(err, scc.ErrMemoryBudget) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("MemoryLimit 1: want ErrMemoryBudget, got %v", err)
+	}
+	cfg.MemoryLimit = 1 << 30
+	s, ts := newTestServer(t, cfg)
+	if resp, m := postBody(t, ts.URL+"/update?wait=1", "4 0\n"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update under a comfortable budget: status %d body %v", resp.StatusCode, m)
+	}
+	if got := s.Snapshot().Epoch; got != 2 {
+		t.Errorf("epoch = %d, want 2", got)
 	}
 }
 

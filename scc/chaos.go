@@ -40,7 +40,8 @@ func ChaosSites() []string {
 // at hit ordinals rather than probabilities: a kernel's hit sequence
 // is already deterministic for a given (graph, options) pair, so
 // "panic on the 2nd BFS level" reproduces the identical failure every
-// run. Sequential algorithms never hit an injection site.
+// run. Sequential algorithms never hit an injection site. Pass a
+// config to a run with WithChaos.
 //
 // Keys are site names (see ChaosSites); unknown names are rejected by
 // option validation. Ordinals are 1-based; entries <= 0 are invalid.

@@ -58,7 +58,7 @@ func TestDetectContextCancelMidPhase(t *testing.T) {
 	obs := &cancelOn{typ: scc.EventTrimRound, cancel: cancel}
 
 	start := time.Now()
-	res, err := scc.DetectContext(ctx, g, scc.Options{Algorithm: scc.Method2, Seed: 1, Observer: obs})
+	res, err := scc.DetectContext(ctx, g, scc.Options{Algorithm: scc.Method2, Seed: 1}, scc.WithObserver(obs))
 	elapsed := time.Since(start)
 
 	if res != nil {
@@ -103,7 +103,7 @@ func TestDetectContextCancelRecursivePhase(t *testing.T) {
 	defer cancel()
 	obs := &cancelOn{typ: scc.EventTaskDone, cancel: cancel}
 
-	res, err := scc.DetectContext(ctx, g, scc.Options{Algorithm: scc.Baseline, Seed: 3, Observer: obs})
+	res, err := scc.DetectContext(ctx, g, scc.Options{Algorithm: scc.Baseline, Seed: 3}, scc.WithObserver(obs))
 	if res != nil || !errors.Is(err, scc.ErrCanceled) {
 		t.Fatalf("want canceled error and nil result, got res=%v err=%v", res, err)
 	}
@@ -169,7 +169,7 @@ func TestObserverEventOrdering(t *testing.T) {
 	})
 	rec := &recorder{}
 	res, err := scc.DetectContext(context.Background(), g,
-		scc.Options{Algorithm: scc.Method2, Seed: 5, Observer: rec})
+		scc.Options{Algorithm: scc.Method2, Seed: 5}, scc.WithObserver(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestObserverFunc(t *testing.T) {
 		count++
 		mu.Unlock()
 	})
-	if _, err := scc.Detect(g, scc.Options{Algorithm: scc.Method2, Observer: obs}); err != nil {
+	if _, err := scc.Detect(g, scc.Options{Algorithm: scc.Method2}, scc.WithObserver(obs)); err != nil {
 		t.Fatal(err)
 	}
 	if count == 0 {

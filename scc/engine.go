@@ -48,10 +48,8 @@ type Engine struct {
 // algorithms (Baseline, Method1, Method2, FWBW) the worker gang and
 // scratch arena are created immediately; sequential algorithms pin a
 // gang only if DetectBatch needs one. Close releases the resources.
-//
-// The Options fields Observer, MemoryLimit and Chaos act as
-// engine-level defaults that per-run RunOptions (WithObserver,
-// WithMemoryLimit, WithChaos) override without copying Options.
+// The observer, memory budget and chaos injection are not engine
+// settings: pass them to each run as RunOptions.
 func New(opts Options) (*Engine, error) {
 	e, err := newEngine(opts)
 	if err != nil {
@@ -89,11 +87,11 @@ func (e *Engine) Close() error {
 
 // Detect decomposes g on the engine's pinned runtime. Semantics match
 // DetectContext — cooperative cancellation, typed errors, the same
-// algorithm set — with per-run knobs supplied as RunOptions instead of
-// Options copies. It fails fast with ErrEngineBusy if another run is
-// in flight and ErrEngineClosed after Close (or after a watchdog
-// force-abort destroyed the gang, which closes the engine). The
-// returned Result is engine-owned and valid until the next call.
+// algorithm set, the same RunOptions. It fails fast with
+// ErrEngineBusy if another run is in flight and ErrEngineClosed after
+// Close (or after a watchdog force-abort destroyed the gang, which
+// closes the engine). The returned Result is engine-owned and valid
+// until the next call.
 func (e *Engine) Detect(ctx context.Context, g *graph.Graph, runOpts ...RunOption) (*Result, error) {
 	if !e.mu.TryLock() {
 		return nil, detectErr("detect", ErrEngineBusy)
@@ -140,32 +138,13 @@ func (e *Engine) detectLocked(ctx context.Context, g *graph.Graph, runOpts []Run
 	case OBF, Coloring, MultiStep:
 		e.res = *runExtension(g, opts)
 	case Baseline, Method1, Method2, FWBW:
-		// Per-run overrides are resolved against the engine-level
-		// defaults here and passed by value — no Options copy reaches
-		// the core engine.
-		ov := core.Overrides{
-			Observer:       opts.Observer,
-			HasObserver:    true,
-			MemoryLimit:    opts.MemoryLimit,
-			HasMemoryLimit: true,
-			HasChaos:       true,
-		}
-		if rc.obsSet {
-			ov.Observer = rc.observer
-		}
-		if rc.memSet {
-			ov.MemoryLimit = rc.memLimit
-		}
-		chaosCfg := opts.Chaos
-		if rc.chaosSet {
-			chaosCfg = rc.chaos
-		}
-		if chaosCfg != nil {
+		crc := core.RunConfig{Observer: rc.observer, MemoryLimit: rc.memLimit}
+		if rc.chaos != nil {
 			// A fresh injector per run: hit ordinals are per-run, so a
 			// shared injector would drift across a request stream.
-			ov.Chaos = chaosCfg.injector()
+			crc.Chaos = rc.chaos.injector()
 		}
-		r, err := e.core.Run(ctx, g, ov)
+		r, err := e.core.Run(ctx, g, crc)
 		if err != nil {
 			if e.core.Dead() {
 				// The watchdog force-abandoned the gang barriers; the
@@ -252,11 +231,9 @@ func (e *Engine) DetectBatch(ctx context.Context, graphs []*graph.Graph) ([]Batc
 	return out, nil
 }
 
-// RunOption is a per-run knob for Engine.Detect. RunOptions override
-// the engine-level defaults carried by the corresponding Options
-// fields (Observer, MemoryLimit, Chaos) for a single run, without
-// copying Options structs; runs without the option fall back to the
-// engine default.
+// RunOption is a per-run setting for Engine.Detect, Detect and
+// DetectContext. It applies to that one run only: a run without the
+// option has no observer, no memory budget and no chaos injection.
 type RunOption func(*runConfig)
 
 // applyRunOpts folds the options into a runConfig. Kept out of
@@ -272,50 +249,48 @@ func applyRunOpts(runOpts []RunOption) runConfig {
 
 type runConfig struct {
 	observer Observer
-	obsSet   bool
 	memLimit int64
-	memSet   bool
 	chaos    *ChaosConfig
-	chaosSet bool
 }
 
 // validate applies option validation to the per-run values — the same
 // single-site rules New enforces, with the RunOption name as the
 // *OptionError field.
 func (rc *runConfig) validate() error {
-	if rc.memSet && rc.memLimit < 0 {
+	if rc.memLimit < 0 {
 		return &OptionError{Field: "WithMemoryLimit", Value: rc.memLimit, Reason: "must be >= 0"}
 	}
-	if rc.chaosSet {
-		return rc.chaos.validate()
-	}
-	return nil
+	return rc.chaos.validate()
 }
 
-// WithObserver streams this run's progress events to o, overriding the
-// engine-level Options.Observer. WithObserver(nil) silences an
-// engine-level observer for the run.
+// WithObserver streams this run's structured progress events (phase
+// boundaries, kernel rounds, task completions) to o; see the Observer
+// type. Only the parallel algorithms emit events. A nil Observer costs
+// nothing.
 func WithObserver(o Observer) RunOption {
-	return func(rc *runConfig) { rc.observer, rc.obsSet = o, true }
+	return func(rc *runConfig) { rc.observer = o }
 }
 
-// WithMemoryLimit bounds this run's estimated engine + scratch
-// footprint in bytes, overriding the engine-level Options.MemoryLimit;
-// see that field for the degradation ladder. On a warm engine the
-// budget also covers scratch retained from earlier runs: a high-water
-// footprint above the limit is shed (and re-grown to this run's size)
-// before the run starts. WithMemoryLimit(0) disables the budget for
-// the run.
+// WithMemoryLimit bounds this run's estimated worst-case engine +
+// scratch footprint in bytes (see EstimateMemory). An over-budget
+// configuration is degraded stepwise before the run starts — fewer
+// workers, then the queue frontier instead of the direction-optimizing
+// bitmap, then task batch K=1 — and the applied steps are recorded in
+// Result.Metrics.DegradedMode. If even the floor configuration does
+// not fit, the run fails up front with an error wrapping
+// ErrMemoryBudget. On a warm engine the budget also covers scratch
+// retained from earlier runs: a high-water footprint above the limit
+// is shed (and re-grown to this run's size) before the run starts.
+// 0 disables the budget; a negative limit fails with an *OptionError.
 func WithMemoryLimit(bytes int64) RunOption {
-	return func(rc *runConfig) { rc.memLimit, rc.memSet = bytes, true }
+	return func(rc *runConfig) { rc.memLimit = bytes }
 }
 
-// WithChaos injects deterministic failures into this run's kernels,
-// overriding the engine-level Options.Chaos; see ChaosConfig. Hit
-// ordinals are counted per run. WithChaos(nil) disables injection for
-// the run.
+// WithChaos injects deterministic failures into this run's kernels;
+// see ChaosConfig. Hit ordinals are counted per run. Nil disables
+// injection.
 func WithChaos(c *ChaosConfig) RunOption {
-	return func(rc *runConfig) { rc.chaos, rc.chaosSet = c, true }
+	return func(rc *runConfig) { rc.chaos = c }
 }
 
 // fillFromCore writes a core result into dst, reusing dst's slice

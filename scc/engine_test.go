@@ -180,58 +180,52 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineRunOptionPrecedence checks the override layer: a RunOption
-// replaces the engine-level Options default for exactly one run, and
-// WithObserver(nil) silences an engine-level observer.
+// TestEngineRunOptionPrecedence checks that a RunOption is scoped to
+// the one run it is passed to: an observer given to one run sees only
+// that run's events, and the next bare run emits none to anybody.
 func TestEngineRunOptionPrecedence(t *testing.T) {
 	g := engineGraph()
-	var defEvents, runEvents int
-	defObs := scc.ObserverFunc(func(scc.Event) { defEvents++ })
-	runObs := scc.ObserverFunc(func(scc.Event) { runEvents++ })
+	var firstEvents, secondEvents int
+	first := scc.ObserverFunc(func(scc.Event) { firstEvents++ })
+	second := scc.ObserverFunc(func(scc.Event) { secondEvents++ })
 
-	e, err := scc.New(scc.Options{Algorithm: scc.Method2, Workers: 1, Observer: defObs})
+	e, err := scc.New(scc.Options{Algorithm: scc.Method2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	ctx := context.Background()
 
-	if _, err := e.Detect(ctx, g); err != nil {
+	if _, err := e.Detect(ctx, g, scc.WithObserver(first)); err != nil {
 		t.Fatal(err)
 	}
-	if defEvents == 0 {
-		t.Fatal("engine-level observer saw no events")
-	}
-
-	defBefore := defEvents
-	if _, err := e.Detect(ctx, g, scc.WithObserver(runObs)); err != nil {
-		t.Fatal(err)
-	}
-	if runEvents == 0 {
+	if firstEvents == 0 {
 		t.Fatal("per-run observer saw no events")
 	}
-	if defEvents != defBefore {
-		t.Fatal("engine-level observer saw events on an overridden run")
-	}
+	firstAfterRun := firstEvents
 
-	if _, err := e.Detect(ctx, g, scc.WithObserver(nil)); err != nil {
+	if _, err := e.Detect(ctx, g, scc.WithObserver(second)); err != nil {
 		t.Fatal(err)
 	}
-	if defEvents != defBefore {
-		t.Fatal("WithObserver(nil) did not silence the engine-level observer")
+	if secondEvents == 0 {
+		t.Fatal("second run's observer saw no events")
+	}
+	if firstEvents != firstAfterRun {
+		t.Fatal("first run's observer saw events from the second run")
 	}
 
-	// The default is restored once the overriding run ends.
+	secondAfterRun := secondEvents
 	if _, err := e.Detect(ctx, g); err != nil {
 		t.Fatal(err)
 	}
-	if defEvents == defBefore {
-		t.Fatal("engine-level observer did not resume after the override")
+	if firstEvents != firstAfterRun || secondEvents != secondAfterRun {
+		t.Fatal("a bare run emitted events to an earlier run's observer")
 	}
 }
 
 // TestEngineRunOptionValidation checks that per-run values flow
-// through the same validation as construction options.
+// through the same validation as construction options, on the engine
+// and on the one-shot path alike.
 func TestEngineRunOptionValidation(t *testing.T) {
 	g := engineGraph()
 	e, err := scc.New(scc.Options{Algorithm: scc.Method2, Workers: 1})
@@ -240,10 +234,15 @@ func TestEngineRunOptionValidation(t *testing.T) {
 	}
 	defer e.Close()
 
-	_, err = e.Detect(context.Background(), g, scc.WithMemoryLimit(-1))
+	_, err = e.Detect(context.Background(), g, scc.WithMemoryLimit(-5))
 	var oe *scc.OptionError
 	if !errors.As(err, &oe) || oe.Field != "WithMemoryLimit" {
-		t.Fatalf("WithMemoryLimit(-1): want *OptionError{Field: WithMemoryLimit}, got %v", err)
+		t.Fatalf("WithMemoryLimit(-5): want *OptionError{Field: WithMemoryLimit}, got %v", err)
+	}
+	_, err = scc.Detect(g, scc.Options{Algorithm: scc.Method2, Workers: 1}, scc.WithMemoryLimit(-1))
+	oe = nil
+	if !errors.As(err, &oe) || oe.Field != "WithMemoryLimit" || !errors.Is(err, scc.ErrInvalidOption) {
+		t.Fatalf("one-shot WithMemoryLimit(-1): want *OptionError{Field: WithMemoryLimit}, got %v", err)
 	}
 	_, err = e.Detect(context.Background(), g,
 		scc.WithChaos(&scc.ChaosConfig{PanicAt: map[string]int64{"no-such-site": 1}}))
@@ -416,7 +415,6 @@ func TestEngineConstructionErrors(t *testing.T) {
 		{Algorithm: scc.Method2, K: -1},
 		{Algorithm: scc.Algorithm(99)},
 		{Algorithm: scc.Method2, GiantThreshold: 2},
-		{Algorithm: scc.Method2, MemoryLimit: -5},
 	}
 	base := runtime.NumGoroutine()
 	for i, opts := range cases {

@@ -28,7 +28,7 @@ var (
 	// aborted a run that made no kernel progress for the configured
 	// window. The underlying error names the stalled phase and window.
 	ErrStalled = errors.New("detection stalled")
-	// ErrMemoryBudget reports that Options.MemoryLimit is below the
+	// ErrMemoryBudget reports that a WithMemoryLimit budget is below the
 	// estimated footprint of even the most degraded configuration; no
 	// work was started. The underlying error carries the limit and the
 	// minimum estimate.

@@ -63,8 +63,8 @@ const (
 // EventQueueSample) are delivered from multiple worker goroutines.
 // Observe must not block — it runs on the engine's critical path.
 //
-// A nil Options.Observer costs nothing: the engine skips event
-// construction entirely.
+// Attach one to a run with WithObserver. A run without an observer
+// costs nothing: the engine skips event construction entirely.
 type Observer = events.Observer
 
 // ObserverFunc adapts a function to the Observer interface. The

@@ -73,8 +73,7 @@ func TestChaosPanicMatrix(t *testing.T) {
 						Workers:   workers,
 						Seed:      5,
 						Kernels:   kern,
-						Chaos:     &scc.ChaosConfig{PanicAt: map[string]int64{site: 1}},
-					})
+					}, scc.WithChaos(&scc.ChaosConfig{PanicAt: map[string]int64{site: 1}}))
 					if res != nil {
 						t.Fatalf("panicking run returned a result: %+v", res)
 					}
@@ -167,8 +166,7 @@ func TestChaosReachStall(t *testing.T) {
 		Seed:         5,
 		Kernels:      scc.KernelsMultiPivot,
 		StallTimeout: 200 * time.Millisecond,
-		Chaos:        &scc.ChaosConfig{StallAt: map[string]int64{"reach": 2}},
-	})
+	}, scc.WithChaos(&scc.ChaosConfig{StallAt: map[string]int64{"reach": 2}}))
 	if res != nil {
 		t.Fatalf("stalled run returned a result: %+v", res)
 	}
@@ -216,9 +214,7 @@ func TestChaosStallTriggersWatchdog(t *testing.T) {
 		Workers:      4,
 		Seed:         5,
 		StallTimeout: 200 * time.Millisecond,
-		Observer:     obs,
-		Chaos:        &scc.ChaosConfig{StallAt: map[string]int64{"bfs": 1}},
-	})
+	}, scc.WithObserver(obs), scc.WithChaos(&scc.ChaosConfig{StallAt: map[string]int64{"bfs": 1}}))
 	elapsed := time.Since(start)
 
 	if res != nil {
@@ -247,11 +243,10 @@ func TestChaosStallTriggersWatchdog(t *testing.T) {
 		Workers:      4,
 		Seed:         5,
 		StallTimeout: 2 * time.Second,
-		Chaos: &scc.ChaosConfig{
-			StallAt:  map[string]int64{"bfs": 1},
-			StallFor: 50 * time.Millisecond,
-		},
-	})
+	}, scc.WithChaos(&scc.ChaosConfig{
+		StallAt:  map[string]int64{"bfs": 1},
+		StallFor: 50 * time.Millisecond,
+	}))
 	if err != nil {
 		t.Fatalf("slow-but-progressing run aborted: %v", err)
 	}
@@ -279,8 +274,7 @@ func TestStallTimeoutRespectsContextDeadline(t *testing.T) {
 		Workers:      4,
 		Seed:         5,
 		StallTimeout: 10 * time.Second, // watchdog armed, but the deadline is much sooner
-		Chaos:        &scc.ChaosConfig{StallAt: map[string]int64{"bfs": 1}},
-	})
+	}, scc.WithChaos(&scc.ChaosConfig{StallAt: map[string]int64{"bfs": 1}}))
 	if res != nil {
 		t.Fatalf("deadline-exceeded run returned a result: %+v", res)
 	}
@@ -306,8 +300,7 @@ func TestMemoryBudgetDegrades(t *testing.T) {
 		t.Fatalf("estimate not monotone in workers: floor %d >= full %d", floor, full)
 	}
 
-	opts.MemoryLimit = floor // forces the ladder down to one worker
-	res, err := scc.Detect(g, opts)
+	res, err := scc.Detect(g, opts, scc.WithMemoryLimit(floor)) // forces the ladder down to one worker
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
 	}
@@ -326,8 +319,7 @@ func TestMemoryBudgetDegrades(t *testing.T) {
 	}
 
 	// A comfortable limit must not degrade anything.
-	opts.MemoryLimit = 2 * full
-	res, err = scc.Detect(g, opts)
+	res, err = scc.Detect(g, opts, scc.WithMemoryLimit(2*full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +333,7 @@ func TestMemoryBudgetDegrades(t *testing.T) {
 // state, engine still reusable.
 func TestMemoryBudgetTooSmall(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 2))
-	res, err := scc.Detect(g, scc.Options{Algorithm: scc.Method2, MemoryLimit: 1})
+	res, err := scc.Detect(g, scc.Options{Algorithm: scc.Method2}, scc.WithMemoryLimit(1))
 	if res != nil {
 		t.Fatalf("over-budget run returned a result: %+v", res)
 	}
@@ -366,23 +358,26 @@ func TestEstimateMemoryNonEngine(t *testing.T) {
 	}
 }
 
-// TestRobustnessOptionValidation covers the new options' error
-// taxonomy.
+// TestRobustnessOptionValidation covers the robustness settings'
+// error taxonomy: the StallTimeout option and the WithMemoryLimit and
+// WithChaos run options, each passed to one-shot Detect.
 func TestRobustnessOptionValidation(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(8, 4, 1))
+	chaosRun := func(c scc.ChaosConfig) []scc.RunOption { return []scc.RunOption{scc.WithChaos(&c)} }
 	cases := []struct {
 		field string
 		opts  scc.Options
+		run   []scc.RunOption
 	}{
-		{"StallTimeout", scc.Options{StallTimeout: -time.Second}},
-		{"MemoryLimit", scc.Options{MemoryLimit: -1}},
-		{"Chaos.PanicAt", scc.Options{Chaos: &scc.ChaosConfig{PanicAt: map[string]int64{"nosuch": 1}}}},
-		{"Chaos.PanicAt", scc.Options{Chaos: &scc.ChaosConfig{PanicAt: map[string]int64{"trim": 0}}}},
-		{"Chaos.StallAt", scc.Options{Chaos: &scc.ChaosConfig{StallAt: map[string]int64{"bogus": 2}}}},
-		{"Chaos.StallFor", scc.Options{Chaos: &scc.ChaosConfig{StallFor: -time.Second}}},
+		{"StallTimeout", scc.Options{StallTimeout: -time.Second}, nil},
+		{"WithMemoryLimit", scc.Options{}, []scc.RunOption{scc.WithMemoryLimit(-1)}},
+		{"Chaos.PanicAt", scc.Options{}, chaosRun(scc.ChaosConfig{PanicAt: map[string]int64{"nosuch": 1}})},
+		{"Chaos.PanicAt", scc.Options{}, chaosRun(scc.ChaosConfig{PanicAt: map[string]int64{"trim": 0}})},
+		{"Chaos.StallAt", scc.Options{}, chaosRun(scc.ChaosConfig{StallAt: map[string]int64{"bogus": 2}})},
+		{"Chaos.StallFor", scc.Options{}, chaosRun(scc.ChaosConfig{StallFor: -time.Second})},
 	}
 	for _, tc := range cases {
-		_, err := scc.Detect(g, tc.opts)
+		_, err := scc.Detect(g, tc.opts, tc.run...)
 		if !errors.Is(err, scc.ErrInvalidOption) {
 			t.Fatalf("%s: errors.Is(ErrInvalidOption) = false; err = %v", tc.field, err)
 		}

@@ -13,11 +13,11 @@
 //	fmt.Println(res.NumSCCs, res.LargestSCC())
 //
 // DetectContext is the primary entry point: it honors cancellation
-// and deadlines, and streams progress to an optional Observer. Detect
-// is a convenience wrapper over context.Background(). Errors are
-// typed — match ErrNilGraph, ErrInvalidOption, ErrCanceled with
-// errors.Is, and extract the offending field from an *OptionError
-// with errors.As.
+// and deadlines, and streams progress to an optional Observer passed
+// with WithObserver. Detect is a convenience wrapper over
+// context.Background(). Errors are typed — match ErrNilGraph,
+// ErrInvalidOption, ErrCanceled with errors.Is, and extract the
+// offending field from an *OptionError with errors.As.
 //
 // Five algorithms are available: the sequential baselines Tarjan and
 // Kosaraju, and the three parallel algorithms from the paper —
@@ -235,16 +235,6 @@ type Options struct {
 	// Validate re-checks the decomposition against the graph before
 	// returning (adds O(n+m) verification time).
 	Validate bool
-	// Observer, if non-nil, receives structured progress events (phase
-	// boundaries, kernel rounds, task completions) during the parallel
-	// algorithms' runs; see the Observer type. Sequential algorithms
-	// emit no events. A nil Observer costs nothing.
-	//
-	// Deprecated: prefer the per-run WithObserver RunOption on
-	// Engine.Detect. This field keeps working as the engine-level
-	// default that WithObserver overrides, and remains the only way to
-	// attach an observer to the one-shot Detect/DetectContext.
-	Observer Observer
 	// StallTimeout, when > 0, arms a per-run watchdog on the parallel
 	// algorithms: if no kernel completes a round (trim iteration, BFS
 	// level, WCC round, phase-2 task) for this long, the run emits an
@@ -254,31 +244,6 @@ type Options struct {
 	// past one window after ctx fires — without it, cancellation is
 	// only noticed at round boundaries. 0 disables the watchdog.
 	StallTimeout time.Duration
-	// MemoryLimit, when > 0, bounds the parallel engine's estimated
-	// worst-case scratch + engine footprint in bytes (see
-	// EstimateMemory). An over-budget configuration is degraded
-	// stepwise before the run starts — fewer workers, then the queue
-	// frontier instead of the direction-optimizing bitmap, then task
-	// batch K=1 — and the applied steps are recorded in
-	// Result.Metrics.DegradedMode. If even the floor configuration does
-	// not fit, detection fails up front with an error wrapping
-	// ErrMemoryBudget. 0 disables the budget. On a reusable Engine the
-	// budget also bounds scratch retained across runs (the high-water
-	// pool is shed before a run that would exceed it).
-	//
-	// Deprecated: prefer the per-run WithMemoryLimit RunOption on
-	// Engine.Detect. This field keeps working as the engine-level
-	// default that WithMemoryLimit overrides.
-	MemoryLimit int64
-	// Chaos, if non-nil, injects deterministic failures into the
-	// parallel engine's kernels for robustness testing; see
-	// ChaosConfig. Nil costs nothing.
-	//
-	// Deprecated: prefer the per-run WithChaos RunOption on
-	// Engine.Detect. This field keeps working as the engine-level
-	// default that WithChaos overrides; hit ordinals are counted per
-	// run in either form.
-	Chaos *ChaosConfig
 }
 
 // PhaseStats is one phase's share of a parallel run.
@@ -419,7 +384,7 @@ type MetricsSnapshot struct {
 	// fresh allocations; BytesReused is the capacity they recycled.
 	BuffersReused int64
 	BytesReused   int64
-	// DegradedMode notes the degradation steps Options.MemoryLimit
+	// DegradedMode notes the degradation steps WithMemoryLimit
 	// forced on the run, comma-separated in the order applied (e.g.
 	// "workers=2,workers=1,diropt=off"); empty when the run executed
 	// exactly as configured.
@@ -430,8 +395,8 @@ type MetricsSnapshot struct {
 // safe to call concurrently on the same graph: graphs are immutable
 // and every run allocates its own working state. It is DetectContext
 // with a background context: it cannot be canceled.
-func Detect(g *graph.Graph, opts Options) (*Result, error) {
-	return DetectContext(context.Background(), g, opts)
+func Detect(g *graph.Graph, opts Options, runOpts ...RunOption) (*Result, error) {
+	return DetectContext(context.Background(), g, opts, runOpts...)
 }
 
 // validateOptions rejects out-of-range Options fields with an
@@ -450,14 +415,12 @@ func validateOptions(opts Options) error {
 		return &OptionError{Field: "PivotSample", Value: opts.PivotSample, Reason: "must be >= 0"}
 	case opts.StallTimeout < 0:
 		return &OptionError{Field: "StallTimeout", Value: opts.StallTimeout, Reason: "must be >= 0"}
-	case opts.MemoryLimit < 0:
-		return &OptionError{Field: "MemoryLimit", Value: opts.MemoryLimit, Reason: "must be >= 0"}
 	case opts.Kernels != KernelsWorklist && opts.Kernels != KernelsLegacy && opts.Kernels != KernelsMultiPivot:
 		return &OptionError{Field: "Kernels", Value: opts.Kernels, Reason: "unknown kernel selection"}
 	case opts.Algorithm < Method2 || opts.Algorithm > Gabow:
 		return &OptionError{Field: "Algorithm", Value: opts.Algorithm, Reason: "unknown algorithm"}
 	}
-	return opts.Chaos.validate()
+	return nil
 }
 
 // DetectContext decomposes g into strongly connected components under
@@ -478,20 +441,22 @@ func validateOptions(opts Options) error {
 // worker never crashes the process — the run tears down cleanly and
 // the error carries a *PanicError with the worker's stack. With
 // Options.StallTimeout a run making no kernel progress is aborted
-// with an error wrapping ErrStalled; with Options.MemoryLimit an
+// with an error wrapping ErrStalled; with WithMemoryLimit an
 // over-budget configuration is degraded (see
 // Result.Metrics.DegradedMode) or rejected with an error wrapping
 // ErrMemoryBudget before any work starts.
 //
-// Progress events stream to opts.Observer as the run executes; a nil
-// observer adds no overhead.
+// runOpts are the run's per-run settings, exactly as on Engine.Detect:
+// WithObserver streams progress events as the run executes (no
+// observer adds no overhead), WithMemoryLimit sets a memory budget and
+// WithChaos injects failures.
 //
 // DetectContext is a thin wrapper over a throwaway Engine: it builds
 // one, runs once, and closes it. Repeated detection should construct
 // the Engine once with New and call Engine.Detect per run — the warm
 // path skips gang startup, option re-validation and all steady-state
 // allocations.
-func DetectContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+func DetectContext(ctx context.Context, g *graph.Graph, opts Options, runOpts ...RunOption) (*Result, error) {
 	if g == nil {
 		return nil, detectErr("detect", ErrNilGraph)
 	}
@@ -500,7 +465,7 @@ func DetectContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 		return nil, detectErr("detect", err)
 	}
 	defer e.Close()
-	return e.detectLocked(ctx, g, nil)
+	return e.detectLocked(ctx, g, runOpts)
 }
 
 // runExtension runs the extension algorithms (OBF, Coloring,
@@ -554,12 +519,7 @@ func coreOptions(opts Options) core.Options {
 		PivotSample:     opts.PivotSample,
 		TraceSchedule:   opts.TraceSchedule,
 		DirOptBFS:       opts.DirOptBFS,
-		Observer:        opts.Observer,
 		StallTimeout:    opts.StallTimeout,
-		MemoryLimit:     opts.MemoryLimit,
-		// Chaos is deliberately absent: injectors hold per-run hit
-		// counters, so a fresh one is built per run and delivered via
-		// core.Overrides rather than baked into engine construction.
 	}
 }
 
@@ -585,7 +545,7 @@ func engineErr(op string, err error) error {
 
 // EstimateMemory returns the parallel engine's estimated worst-case
 // scratch + engine footprint, in bytes, for an n-node graph under
-// opts — the quantity Options.MemoryLimit bounds. The estimate is a
+// opts — the quantity WithMemoryLimit bounds. The estimate is a
 // deliberately pessimistic monotone upper bound (worst-case degree
 // skew, every retained buffer at full capacity); real usage is
 // usually far lower. Sequential and extension algorithms do not run
