@@ -269,8 +269,7 @@ func BenchmarkRelatedMultiStep(b *testing.B) {
 
 // BenchmarkKernels compares the legacy round-based Par-Trim/Par-WCC,
 // the worklist kernels, and the multi-pivot reachability kernel
-// like-for-like on the dataset suite. benchgate's -kernels flag keys
-// off the kernels=<name> sub-benchmark tag.
+// like-for-like on the dataset suite.
 func BenchmarkKernels(b *testing.B) {
 	for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy, scc.KernelsMultiPivot} {
 		b.Run("kernels="+kern.String(), func(b *testing.B) {

@@ -1,76 +1,153 @@
-// Command benchgate compares two `go test -bench -benchmem` output
-// files and fails when a benchmark's allocs/op regresses beyond a
-// threshold against the checked-in baseline. It is the CI gate behind
-// BENCH_baseline.txt: benchstat gives the human-readable comparison,
-// benchgate gives the red/green verdict.
+// Command benchgate is the CI verdict on the repository's measured
+// claims. It has two modes.
 //
 // Usage:
 //
-//	benchgate [-threshold 0.10] [-metric allocs/op] baseline.txt current.txt
-//	benchgate -engine [-min-speedup 2.0] BENCH_scc.json
-//	benchgate -multipivot [-mp-hidiam-ratio 1.05] [-mp-ctrl-ratio 1.30] BENCH_scc.json
-//	benchgate -serve [-min-qps 50] [-max-p99 2s] BENCH_serve.json
-//	benchgate -recover [-max-recovery 30s] BENCH_serve.json
-//	benchgate -incr [-incr-speedup 50] BENCH_serve.json
+//	benchgate <suite> <results.json>
+//	benchgate allocs <baseline.txt> <current.txt>
 //
-// Benchmarks present in only one file are reported but do not fail the
-// gate (datasets and benchmarks may be added or removed); a run with
-// zero common benchmarks fails, since that means the gate matched
-// nothing at all.
+// The suite mode checks one suite of a results file written by
+// sccbench (engine, multipivot: BENCH_scc.json; serve, recover, incr:
+// BENCH_serve.json) against every row of the gate table for that
+// suite. A row names a case pattern (path.Match syntax), a metric, a
+// comparison and a fixed bound; each record it matches must satisfy the
+// comparison, and a row that matches no record fails, so a missing
+// suite, case or metric fails the gate.
 //
-// The -engine mode gates the engine-amortization section written by
-// `sccbench -exp engine`: the engine's stream throughput
-// (DetectBatch) must be at least -min-speedup times the per-call
-// oneshot throughput, and a warm engine's Detect must not allocate
-// more per run than a one-shot Detect.
-//
-// The -multipivot mode gates the kernel-comparison section written by
-// `sccbench -exp multipivot`. The rows are like-vs-like (both kernels
-// saw the identical graph, seed and worker count), so the rule is a
-// direct ratio: on high-diameter datasets the multi-pivot kernel must
-// be at least as fast as the worklist kernel (within -mp-hidiam-ratio
-// measurement noise), and on the small-world controls it must stay
-// within -mp-ctrl-ratio — the new kernel is allowed to tie on graphs
-// it was not built for, but not to regress them.
-//
-// The -serve mode gates the serving report written by `sccbench -exp
-// serve`: zero non-shedding 5xx in every scenario, real load shedding
-// under overload, a rolled-back-then-republished epoch in the chaos
-// scenario, a clean drain, and steady-state QPS / p99 inside the
-// -min-qps / -max-p99 bounds.
-//
-// The -recover mode gates the crash-recovery matrix written by
-// `sccbench -exp recover`: at every crash point the restarted server
-// must have lost no acknowledged batch, matched the Tarjan oracle,
-// and kept the epoch non-regressing, with recovery inside
-// -max-recovery and the torn-record truncation path exercised at
-// least once.
-//
-// The -incr mode gates the incremental-maintenance sweep written by
-// `sccbench -exp incr`: zero divergence from from-scratch detection
-// in every mix, live classification counters, and fast-path update
-// batches at least -incr-speedup times cheaper than the full rebuild
-// they replace.
+// The allocs mode compares two `go test -bench -benchmem` output files
+// and fails when a benchmark's allocs/op regresses more than 10%
+// against the checked-in baseline (BENCH_baseline.txt): benchstat
+// gives the human-readable comparison, benchgate the red/green
+// verdict. Benchmarks present in only one file are reported but do not
+// fail the gate (datasets and benchmarks may be added or removed); a
+// run with zero common benchmarks fails, since that means the gate
+// matched nothing at all.
 package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"os"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/experiments"
+)
+
+// gate is one row of the gate table: every record of suite whose case
+// matches cases and whose metric is metric must satisfy `value op
+// bound`, and at least one record must match.
+type gate struct {
+	suite, cases, metric, op string
+	bound                    float64
+	why                      string
+}
+
+// gates holds every fixed-bound check CI runs on a results file.
+var gates = []gate{
+	{"engine", "oneshot", "runs_per_sec", ">=", 0, "the oneshot row is present"},
+	{"engine", "engine", "runs_per_sec", ">=", 0, "the engine row is present"},
+	{"engine", "batch", "runs_per_sec", ">=", 0, "the batch row is present"},
+	{"engine", "batch", "speedup_vs_oneshot", ">=", 2.0, "Engine.DetectBatch streams at least 2x the runs/sec of per-call Detect"},
+	{"engine", "engine", "allocs_per_run_minus_oneshot", "<=", 0, "a warm engine allocates no more per run than a one-shot Detect"},
+
+	{"multipivot", "*/*", "worklist_ns", ">", 0, "the worklist mean is positive"},
+	{"multipivot", "hidiam/*", "ratio", "<=", 1.05, "multi-pivot wins or ties, within noise, on the high-diameter graphs it exists for"},
+	{"multipivot", "ctrl/*", "ratio", "<=", 1.30, "multi-pivot does not regress the small-world controls"},
+	{"multipivot", "hidiam/*", "reach_waves_plus_claims", ">", 0, "the multi-pivot kernel actually ran on the high-diameter graphs"},
+
+	{"serve", "*", "err_5xx", "<=", 0, "no scenario answers a query with a non-shedding 5xx"},
+	{"serve", "steady", "qps", ">=", 50, "steady-state throughput"},
+	{"serve", "steady", "p99_us", "<=", 2e6, "steady-state p99 latency within 2s"},
+	{"serve", "overload", "shed_429", ">", 0, "admission control sheds under overload"},
+	{"serve", "chaos-rebuild", "rebuild_failures", ">=", 1, "the chaos-injected rebuild failure fired"},
+	{"serve", "chaos-rebuild", "epoch_advance", ">", 0, "the epoch advanced after the rollback"},
+	{"serve", "drain", "drain_ok", "==", 1, "the drain finished every accepted request"},
+
+	{"recover", "matrix", "points_minus_crash_points", "==", 0, "one recorded point per crash ordinal"},
+	{"recover", "crash/*", "durability_ok", "==", 1, "no acknowledged batch is lost at any crash point"},
+	{"recover", "crash/*", "labels_match", "==", 1, "recovered labels match the Tarjan oracle at every crash point"},
+	{"recover", "crash/*", "epoch_advance", ">=", 0, "the epoch never moves backwards across a crash"},
+	{"recover", "matrix", "max_recovery_ms", "<=", 30000, "every crash point recovers within 30s"},
+	{"recover", "matrix", "any_truncated", "==", 1, "some crash point exercised torn-record truncation"},
+
+	{"incr", "*", "diverged", "==", 0, "no mix diverges from a from-scratch detection"},
+	{"incr", "*", "updates", ">", 0, "every mix applied updates"},
+	{"incr", "*", "mean_batch_us", ">", 0, "every mix timed its batches"},
+	{"incr", "intra", "intra_inserts", ">", 0, "the intra mix fired intra-SCC insert fast paths"},
+	{"incr", "cycle", "cycle_merges", ">", 0, "the cycle mix fired cycle-merge collapses"},
+	{"incr", "delete", "delete_fast_paths", ">", 0, "the delete mix fired delete fast paths"},
+	{"incr", "intra", "speedup", ">=", 50, "intra-SCC inserts beat the full rebuild at least 50x"},
+	{"incr", "delete", "speedup", ">=", 50, "deletes beat the full rebuild at least 50x"},
+}
+
+// holds reports whether v op bound.
+func holds(v float64, op string, bound float64) bool {
+	switch op {
+	case ">=":
+		return v >= bound
+	case "<=":
+		return v <= bound
+	case ">":
+		return v > bound
+	case "==":
+		return v == bound
+	}
+	panic("benchgate: unknown op " + op)
+}
+
+// check runs every gate row of suite against the suite's records in
+// the results file at file, printing one line per checked record, and
+// returns the number of failures.
+func check(suite, file string) (int, error) {
+	sets, err := experiments.ReadRecordSets(file)
+	if err != nil {
+		return 0, err
+	}
+	rs, ok := sets[suite]
+	if !ok {
+		return 0, fmt.Errorf("%s has no %s suite (run sccbench -exp %s first)", file, suite, suite)
+	}
+	failed := 0
+	for _, g := range gates {
+		if g.suite != suite {
+			continue
+		}
+		matched := false
+		for _, r := range rs.Records {
+			if ok, _ := path.Match(g.cases, r.Case); !ok || r.Metric != g.metric {
+				continue
+			}
+			matched = true
+			status := "ok  "
+			if !holds(r.Value, g.op, g.bound) {
+				status = "FAIL"
+				failed++
+			}
+			fmt.Printf("%s %s %s = %g %s, want %s %g: %s\n", status, r.Case, r.Metric, r.Value, r.Unit, g.op, g.bound, g.why)
+		}
+		if !matched {
+			failed++
+			fmt.Printf("FAIL no %s %s record: %s\n", g.cases, g.metric, g.why)
+		}
+	}
+	return failed, nil
+}
+
+// The allocs mode's gated counter and its allowed relative regression
+// (0.10 = +10%).
+const (
+	allocsMetric    = "allocs/op"
+	allocsThreshold = 0.10
 )
 
 // parseBench extracts metric values (e.g. allocs/op) per benchmark
 // name from `go test -bench` output. The counter name is matched
 // against the unit column following each value.
-func parseBench(path, metric string) (map[string]float64, error) {
-	f, err := os.Open(path)
+func parseBench(file, metric string) (map[string]float64, error) {
+	f, err := os.Open(file)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +168,7 @@ func parseBench(path, metric string) (map[string]float64, error) {
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("%s: bad %s value %q for %s", path, metric, fields[i], name)
+				return nil, fmt.Errorf("%s: bad %s value %q for %s", file, metric, fields[i], name)
 			}
 			out[name] = v
 		}
@@ -110,367 +187,22 @@ func trimProcSuffix(name string) string {
 	return name
 }
 
-// kernelsTag extracts the value of a "kernels=<name>" sub-benchmark
-// segment, or "" when the benchmark carries none.
-func kernelsTag(name string) string {
-	for _, seg := range strings.Split(name, "/") {
-		if v, ok := strings.CutPrefix(seg, "kernels="); ok {
-			return v
-		}
-	}
-	return ""
-}
-
-// filterKernels restricts the gate to like-vs-like kernel runs:
-// benchmarks tagged with a kernels=<name> segment are kept only when
-// the tag matches kern, untagged benchmarks always compare. Comparison
-// itself is already like-vs-like (names match exactly, tag included);
-// the filter exists so a CI lane measuring one kernel set is not
-// failed by the other set's rows going missing or stale.
-func filterKernels(m map[string]float64, kern string) map[string]float64 {
-	if kern == "" {
-		return m
-	}
-	out := make(map[string]float64, len(m))
-	for name, v := range m {
-		if tag := kernelsTag(name); tag == "" || tag == kern {
-			out[name] = v
-		}
-	}
-	return out
-}
-
-// gateEngine verifies the engine section of a BENCH json report: the
-// stream (batch) throughput multiple over per-call detection, and that
-// the warm engine's per-run allocations do not exceed one-shot's.
-// Returns an error describing the first failed check.
-func gateEngine(path string, minSpeedup float64) error {
-	rep, err := experiments.ReadBenchJSON(path)
+// compareAllocs prints one line per benchmark in baseline and returns
+// the number compared and whether any regressed beyond the threshold.
+func compareAllocs(basePath, curPath string) (compared int, failed bool, err error) {
+	base, err := parseBench(basePath, allocsMetric)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
-	if rep.Engine == nil {
-		return fmt.Errorf("%s has no engine section (run sccbench -exp engine first)", path)
-	}
-	eng := rep.Engine
-	oneshot, engine, batch := eng.Row("oneshot"), eng.Row("engine"), eng.Row("batch")
-	if oneshot == nil || engine == nil || batch == nil {
-		return fmt.Errorf("%s: engine section is missing a mode row", path)
-	}
-	for _, r := range eng.Rows {
-		fmt.Printf("%-8s %12.0f runs/sec %8d allocs/run\n", r.Mode, r.RunsPerSec, r.AllocsPerRun)
-	}
-	fmt.Printf("engine/oneshot %.2fx, batch/oneshot %.2fx (gate: >= %.1fx)\n",
-		eng.Speedup, eng.BatchSpeedup, minSpeedup)
-	if eng.BatchSpeedup < minSpeedup {
-		return fmt.Errorf("engine stream throughput %.2fx oneshot, want >= %.1fx", eng.BatchSpeedup, minSpeedup)
-	}
-	if engine.AllocsPerRun > oneshot.AllocsPerRun {
-		return fmt.Errorf("warm engine allocates %d/run, more than oneshot's %d/run",
-			engine.AllocsPerRun, oneshot.AllocsPerRun)
-	}
-	return nil
-}
-
-// gateMultiPivot verifies the kernel-comparison section of a BENCH
-// json report: every high-diameter row's multi-pivot mean must be
-// within hiRatio of the worklist mean (the kernel has to win, or tie
-// inside noise, on the graphs it exists for), and every control row
-// within ctrlRatio (it must not tank the small-world suite). Rows with
-// reach counters all zero on a high-diameter dataset also fail — that
-// means the sweep never actually entered the multi-pivot kernel.
-func gateMultiPivot(path string, hiRatio, ctrlRatio float64) error {
-	rep, err := experiments.ReadBenchJSON(path)
+	cur, err := parseBench(curPath, allocsMetric)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
-	if rep.MultiPivot == nil {
-		return fmt.Errorf("%s has no multipivot section (run sccbench -exp multipivot first)", path)
-	}
-	mp := rep.MultiPivot
-	if len(mp.Rows) == 0 {
-		return fmt.Errorf("%s: multipivot section has no rows", path)
-	}
-	sawHigh := false
-	for _, r := range mp.Rows {
-		limit, class := ctrlRatio, "ctrl"
-		if r.HighDiameter {
-			limit, class = hiRatio, "hidiam"
-			sawHigh = true
-		}
-		if r.WorklistNs <= 0 {
-			return fmt.Errorf("row %s: worklist mean %.0fns is not positive", r.Dataset, r.WorklistNs)
-		}
-		ratio := r.MultiPivotNs / r.WorklistNs
-		fmt.Printf("%-10s %6s worklist %12v multipivot %12v  %.2fx (gate <= %.2fx)\n",
-			r.Dataset, class,
-			time.Duration(r.WorklistNs).Round(time.Microsecond),
-			time.Duration(r.MultiPivotNs).Round(time.Microsecond),
-			ratio, limit)
-		if ratio > limit {
-			return fmt.Errorf("%s (%s): multipivot %.2fx worklist, gate is %.2fx",
-				r.Dataset, class, ratio, limit)
-		}
-		if r.HighDiameter && r.Metrics.ReachWaves == 0 && r.Metrics.ReachClaims == 0 {
-			return fmt.Errorf("%s: reach counters all zero — the multi-pivot kernel never ran", r.Dataset)
-		}
-	}
-	if !sawHigh {
-		return fmt.Errorf("%s: multipivot section has no high-diameter rows", path)
-	}
-	return nil
-}
-
-// gateRecover verifies the crash-recovery matrix written by `sccbench
-// -exp recover`: every crash point recovered with no acknowledged
-// batch lost, a labeling identical to the Tarjan oracle over the
-// durable prefix, and a non-regressing epoch; recovery stayed inside
-// the time bound; and at least one crash point actually exercised the
-// torn-record truncation path (otherwise the matrix proved nothing
-// about corruption handling).
-func gateRecover(path string, maxRecovery time.Duration) error {
-	rep, err := experiments.ReadServeJSON(path)
-	if err != nil {
-		return err
-	}
-	if rep.Recover == nil {
-		return fmt.Errorf("%s has no recover section (run sccbench -exp recover first)", path)
-	}
-	rec := rep.Recover
-	if len(rec.Points) == 0 {
-		return fmt.Errorf("%s: recover section has no crash points", path)
-	}
-	if len(rec.Points) != rec.CrashPoints {
-		return fmt.Errorf("%s: %d points recorded for %d crash ordinals", path, len(rec.Points), rec.CrashPoints)
-	}
-	for _, p := range rec.Points {
-		if !p.DurabilityOK {
-			return fmt.Errorf("crash point %d: %d batches acked, only %d recovered — acknowledged data lost",
-				p.CrashOp, p.AckedBatches, p.RecoveredSeq)
-		}
-		if !p.LabelsMatch {
-			return fmt.Errorf("crash point %d: recovered labels disagree with the Tarjan oracle", p.CrashOp)
-		}
-		if p.EpochRecovered < p.EpochPreCrash {
-			return fmt.Errorf("crash point %d: epoch moved backwards %d→%d",
-				p.CrashOp, p.EpochPreCrash, p.EpochRecovered)
-		}
-	}
-	fmt.Printf("recover: %d crash points, max recovery %dms (gate <= %v), truncation exercised: %v\n",
-		rec.CrashPoints, rec.MaxRecoveryMS, maxRecovery, rec.AnyTruncated)
-	if got := time.Duration(rec.MaxRecoveryMS) * time.Millisecond; got > maxRecovery {
-		return fmt.Errorf("max recovery %v above gate %v", got, maxRecovery)
-	}
-	if !rec.AnyTruncated {
-		return fmt.Errorf("no crash point produced a truncated WAL: torn-record handling never exercised")
-	}
-	return nil
-}
-
-// gateIncr verifies the incremental-maintenance sweep written by
-// `sccbench -exp incr`: no mix's labeling diverged from a
-// from-scratch detection (zero tolerance), each mix actually fired
-// the update classes it is named for (the classifier is live, not
-// routing everything to one path), and the pure fast-path mixes
-// (intra-SCC inserts and inter-SCC deletes) beat the full rebuild
-// they replaced by at least -incr-speedup.
-func gateIncr(path string, minSpeedup float64) error {
-	rep, err := experiments.ReadServeJSON(path)
-	if err != nil {
-		return err
-	}
-	if rep.Incr == nil {
-		return fmt.Errorf("%s has no incr section (run sccbench -exp incr first)", path)
-	}
-	inc := rep.Incr
-	intra := inc.Mix("intra")
-	cycle := inc.Mix("cycle")
-	del := inc.Mix("delete")
-	if intra == nil || cycle == nil || del == nil {
-		return fmt.Errorf("%s: incr section is missing a mix row", path)
-	}
-	for _, m := range inc.Mixes {
-		if m.Diverged {
-			return fmt.Errorf("mix %s: incremental labeling diverged from full detection", m.Name)
-		}
-		if m.Updates == 0 || m.MeanBatchUS <= 0 {
-			return fmt.Errorf("mix %s: applied no updates", m.Name)
-		}
-	}
-	if intra.IntraInserts == 0 {
-		return fmt.Errorf("intra mix fired no intra-SCC insert fast paths")
-	}
-	if cycle.CycleMerges == 0 {
-		return fmt.Errorf("cycle mix fired no cycle-merge collapses")
-	}
-	if del.NoopDeletes+del.DagDeletes+del.Noops == 0 {
-		return fmt.Errorf("delete mix fired no delete fast paths")
-	}
-	fmt.Printf("incr: full rebuild %dµs; intra %.0fx, cycle %.0fx, delete %.0fx (gate >= %.0fx on intra/delete), divergence 0\n",
-		inc.FullDetectUS, intra.Speedup, cycle.Speedup, del.Speedup, minSpeedup)
-	if intra.Speedup < minSpeedup {
-		return fmt.Errorf("intra mix speedup %.1fx below gate %.0fx", intra.Speedup, minSpeedup)
-	}
-	if del.Speedup < minSpeedup {
-		return fmt.Errorf("delete mix speedup %.1fx below gate %.0fx", del.Speedup, minSpeedup)
-	}
-	return nil
-}
-
-// gateServe verifies the serving report: every scenario kept the
-// query path free of non-shedding 5xx; the overload scenario actually
-// shed (the admission control is live, not vestigial); the chaos
-// scenario survived at least one rebuild failure AND still advanced
-// the epoch (rollback then retry, not silent loss); the drain
-// completed every accepted request; and steady-state throughput and
-// tail latency are inside the bounds.
-func gateServe(path string, minQPS float64, maxP99 time.Duration) error {
-	rep, err := experiments.ReadServeJSON(path)
-	if err != nil {
-		return err
-	}
-	if len(rep.Scenarios) == 0 {
-		return fmt.Errorf("%s has no scenarios (run sccbench -exp serve first)", path)
-	}
-	for _, s := range rep.Scenarios {
-		if s.Err5xx != 0 {
-			return fmt.Errorf("scenario %s: %d query 5xx, want 0", s.Name, s.Err5xx)
-		}
-	}
-	steady := rep.Scenario("steady")
-	overload := rep.Scenario("overload")
-	chaosRow := rep.Scenario("chaos-rebuild")
-	drain := rep.Scenario("drain")
-	if steady == nil || overload == nil || chaosRow == nil || drain == nil {
-		return fmt.Errorf("%s: missing a scenario row", path)
-	}
-	fmt.Printf("steady %.0f qps p99 %v; overload shed %d; chaos fails %d epoch %d→%d; drain ok %v\n",
-		steady.QPS, time.Duration(steady.P99US)*time.Microsecond,
-		overload.Shed429, chaosRow.RebuildFailures, chaosRow.EpochStart, chaosRow.EpochEnd,
-		drain.DrainOK != nil && *drain.DrainOK)
-	if steady.QPS < minQPS {
-		return fmt.Errorf("steady QPS %.0f below gate %.0f", steady.QPS, minQPS)
-	}
-	if p99 := time.Duration(steady.P99US) * time.Microsecond; p99 > maxP99 {
-		return fmt.Errorf("steady p99 %v above gate %v", p99, maxP99)
-	}
-	if overload.Shed429 == 0 {
-		return fmt.Errorf("overload scenario shed nothing: admission control is not engaging")
-	}
-	if chaosRow.RebuildFailures < 1 {
-		return fmt.Errorf("chaos scenario saw no rebuild failure: injection did not fire")
-	}
-	if chaosRow.EpochEnd <= chaosRow.EpochStart {
-		return fmt.Errorf("chaos scenario epoch stuck at %d: rollback never recovered", chaosRow.EpochEnd)
-	}
-	if drain.DrainOK == nil || !*drain.DrainOK {
-		return fmt.Errorf("drain scenario did not complete every accepted request")
-	}
-	return nil
-}
-
-func main() {
-	threshold := flag.Float64("threshold", 0.10, "max allowed relative regression (0.10 = +10%)")
-	metric := flag.String("metric", "allocs/op", "benchmark counter to gate on")
-	kernels := flag.String("kernels", "", "gate only benchmarks whose kernels=<name> tag matches (untagged benchmarks always compare); empty gates everything")
-	engineMode := flag.Bool("engine", false, "gate the engine section of a BENCH json report instead of comparing bench output files")
-	minSpeedup := flag.Float64("min-speedup", 2.0, "engine mode: minimum stream-vs-oneshot throughput multiple")
-	mpMode := flag.Bool("multipivot", false, "gate the multipivot kernel-comparison section of a BENCH json report")
-	mpHiRatio := flag.Float64("mp-hidiam-ratio", 1.05, "multipivot mode: max multipivot/worklist time ratio on high-diameter datasets")
-	mpCtrlRatio := flag.Float64("mp-ctrl-ratio", 1.30, "multipivot mode: max multipivot/worklist time ratio on small-world controls")
-	serveMode := flag.Bool("serve", false, "gate a BENCH_serve.json report from sccbench -exp serve")
-	minQPS := flag.Float64("min-qps", 50, "serve mode: minimum steady-state QPS")
-	maxP99 := flag.Duration("max-p99", 2*time.Second, "serve mode: maximum steady-state p99 latency")
-	recoverMode := flag.Bool("recover", false, "gate the recover section of a BENCH_serve.json report from sccbench -exp recover")
-	maxRecovery := flag.Duration("max-recovery", 30*time.Second, "recover mode: maximum single-crash-point recovery time")
-	incrMode := flag.Bool("incr", false, "gate the incr section of a BENCH_serve.json report from sccbench -exp incr")
-	incrSpeedup := flag.Float64("incr-speedup", 50, "incr mode: minimum fast-path-vs-full-rebuild speedup")
-	flag.Parse()
-	if *incrMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -incr [-incr-speedup 50] BENCH_serve.json")
-			os.Exit(2)
-		}
-		if err := gateIncr(flag.Arg(0), *incrSpeedup); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: incremental-maintenance gates hold")
-		return
-	}
-	if *recoverMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -recover [-max-recovery 30s] BENCH_serve.json")
-			os.Exit(2)
-		}
-		if err := gateRecover(flag.Arg(0), *maxRecovery); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: crash-recovery gates hold")
-		return
-	}
-	if *serveMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -serve [-min-qps 50] [-max-p99 2s] BENCH_serve.json")
-			os.Exit(2)
-		}
-		if err := gateServe(flag.Arg(0), *minQPS, *maxP99); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: serving robustness gates hold")
-		return
-	}
-	if *mpMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -multipivot [-mp-hidiam-ratio 1.05] [-mp-ctrl-ratio 1.30] BENCH_scc.json")
-			os.Exit(2)
-		}
-		if err := gateMultiPivot(flag.Arg(0), *mpHiRatio, *mpCtrlRatio); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: multi-pivot kernel within like-vs-like bounds")
-		return
-	}
-	if *engineMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -engine [-min-speedup 2.0] BENCH_scc.json")
-			os.Exit(2)
-		}
-		if err := gateEngine(flag.Arg(0), *minSpeedup); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: engine amortization within bounds")
-		return
-	}
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate [-threshold 0.10] [-metric allocs/op] [-kernels worklist] baseline.txt current.txt")
-		os.Exit(2)
-	}
-	base, err := parseBench(flag.Arg(0), *metric)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	cur, err := parseBench(flag.Arg(1), *metric)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	base = filterKernels(base, *kernels)
-	cur = filterKernels(cur, *kernels)
-
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
-	failed := false
-	compared := 0
 	for _, name := range names {
 		b := base[name]
 		c, ok := cur[name]
@@ -489,7 +221,7 @@ func main() {
 			rel = (c - b) / b
 		}
 		status := "ok  "
-		if rel > *threshold {
+		if rel > allocsThreshold {
 			status = "FAIL"
 			failed = true
 		}
@@ -500,13 +232,50 @@ func main() {
 			fmt.Printf("NEW  %-50s %14.1f\n", name, cur[name])
 		}
 	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no common benchmarks between the two files")
-		os.Exit(1)
+	return compared, failed, nil
+}
+
+func main() {
+	args := os.Args[1:]
+	switch {
+	case len(args) == 3 && args[0] == "allocs":
+		compared, failed, err := compareAllocs(args[1], args[2])
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			os.Exit(2)
+		}
+		if compared == 0 {
+			fmt.Fprintln(os.Stderr, "benchgate: no common benchmarks between the two files")
+			os.Exit(1)
+		}
+		if failed {
+			fmt.Fprintf(os.Stderr, "benchgate: %s regressed more than %.0f%% against baseline\n", allocsMetric, allocsThreshold*100)
+			os.Exit(1)
+		}
+		fmt.Printf("benchgate: %d benchmarks within %.0f%% of baseline on %s\n", compared, allocsThreshold*100, allocsMetric)
+	case len(args) == 2 && hasGates(args[0]):
+		failed, err := check(args[0], args[1])
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			os.Exit(1)
+		}
+		if failed > 0 {
+			fmt.Fprintf(os.Stderr, "benchgate: %d %s check(s) failed\n", failed, args[0])
+			os.Exit(1)
+		}
+		fmt.Printf("benchgate: every %s gate holds\n", args[0])
+	default:
+		fmt.Fprintln(os.Stderr, "usage: benchgate engine|multipivot|serve|recover|incr results.json\n       benchgate allocs baseline.txt current.txt")
+		os.Exit(2)
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchgate: %s regressed more than %.0f%% against baseline\n", *metric, *threshold*100)
-		os.Exit(1)
+}
+
+// hasGates reports whether the gate table has rows for suite.
+func hasGates(suite string) bool {
+	for _, g := range gates {
+		if g.suite == suite {
+			return true
+		}
 	}
-	fmt.Printf("benchgate: %d benchmarks within %.0f%% of baseline on %s\n", compared, *threshold*100, *metric)
+	return false
 }

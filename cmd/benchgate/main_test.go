@@ -2,10 +2,12 @@ package main
 
 import (
 	"os"
+	"path"
 	"path/filepath"
 	"testing"
 
 	"repro/experiments"
+	"repro/scc"
 )
 
 const sample = `goos: linux
@@ -62,27 +64,6 @@ func TestParseBenchOtherMetrics(t *testing.T) {
 	}
 }
 
-func TestFilterKernels(t *testing.T) {
-	in := map[string]float64{
-		"BenchmarkTrimKernels/kernels=worklist/chain": 0,
-		"BenchmarkTrimKernels/kernels=legacy/chain":   12,
-		"BenchmarkFigure6Method2/livej":               497,
-	}
-	got := filterKernels(in, "worklist")
-	if len(got) != 2 {
-		t.Fatalf("filtered to %d benchmarks, want 2: %v", len(got), got)
-	}
-	if _, ok := got["BenchmarkTrimKernels/kernels=worklist/chain"]; !ok {
-		t.Fatal("matching tag dropped")
-	}
-	if _, ok := got["BenchmarkFigure6Method2/livej"]; !ok {
-		t.Fatal("untagged benchmark dropped")
-	}
-	if same := filterKernels(in, ""); len(same) != len(in) {
-		t.Fatalf("empty filter changed the set: %v", same)
-	}
-}
-
 func TestTrimProcSuffix(t *testing.T) {
 	cases := map[string]string{
 		"BenchmarkX-8":        "BenchmarkX",
@@ -98,54 +79,122 @@ func TestTrimProcSuffix(t *testing.T) {
 	}
 }
 
-// engineJSON builds a minimal BENCH json document with an engine
-// section for gate tests.
-func engineJSON(t *testing.T, batchSpeedup float64, engineAllocs, oneshotAllocs uint64) string {
+// passingResults writes a results file holding one suite per gated
+// experiment, every record inside its gate bounds.
+func passingResults(t *testing.T) string {
 	t.Helper()
-	rep := experiments.BenchReport{
-		Engine: &experiments.EngineReport{
+	drained := true
+	suites := map[string]experiments.RecordSet{
+		"engine": experiments.EngineReport{
 			Rows: []experiments.EngineRow{
-				{Mode: "oneshot", RunsPerSec: 1000, AllocsPerRun: oneshotAllocs},
-				{Mode: "engine", RunsPerSec: 2500, AllocsPerRun: engineAllocs},
-				{Mode: "batch", RunsPerSec: 1000 * batchSpeedup},
+				{Mode: "oneshot", RunsPerSec: 1000, AllocsPerRun: 35},
+				{Mode: "engine", RunsPerSec: 2500},
+				{Mode: "batch", RunsPerSec: 5000, AllocsPerRun: 4},
 			},
-			Speedup:      2.5,
-			BatchSpeedup: batchSpeedup,
-		},
+			Speedup: 2.5, BatchSpeedup: 5,
+		}.Records(),
+		"multipivot": experiments.MultiPivotReport{Rows: []experiments.KernelCompareRow{
+			{Dataset: "ca-road", HighDiameter: true, WorklistNs: 100, MultiPivotNs: 100,
+				Metrics: scc.MetricsSnapshot{ReachWaves: 3, ReachClaims: 40}},
+			{Dataset: "flickr", WorklistNs: 100, MultiPivotNs: 120},
+		}}.Records(),
+		"serve": experiments.ServeReport{Scenarios: []experiments.ServeScenario{
+			{Name: "steady", QPS: 1000, P99US: 1500, EpochStart: 1, EpochEnd: 1},
+			{Name: "overload", Shed429: 7, EpochStart: 1, EpochEnd: 1},
+			{Name: "chaos-rebuild", RebuildFailures: 1, EpochStart: 1, EpochEnd: 2},
+			{Name: "drain", DrainOK: &drained, EpochStart: 1, EpochEnd: 1},
+		}}.Records(),
+		"recover": experiments.RecoverReport{
+			CrashPoints: 2, MaxRecoveryMS: 12, AnyTruncated: true,
+			Points: []experiments.RecoverPoint{
+				{CrashOp: 1, LabelsMatch: true, DurabilityOK: true},
+				{CrashOp: 2, AckedBatches: 1, RecoveredSeq: 1, Truncated: true,
+					LabelsMatch: true, DurabilityOK: true, EpochPreCrash: 2, EpochRecovered: 2},
+			},
+		}.Records(),
+		"incr": experiments.IncrReport{FullDetectUS: 1000, Mixes: []experiments.IncrMix{
+			{Name: "intra", Updates: 16, MeanBatchUS: 5, Speedup: 200, IntraInserts: 16},
+			{Name: "cycle", Updates: 16, MeanBatchUS: 100, Speedup: 10, CycleMerges: 2},
+			{Name: "delete", Updates: 16, MeanBatchUS: 10, Speedup: 100, NoopDeletes: 9},
+		}}.Records(),
 	}
-	p := filepath.Join(t.TempDir(), "bench.json")
-	f, err := os.Create(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := experiments.WriteBenchJSON(f, rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	p := filepath.Join(t.TempDir(), "results.json")
+	for name, rs := range suites {
+		if err := experiments.WriteRecordSet(p, name, rs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return p
 }
 
-func TestGateEngine(t *testing.T) {
-	if err := gateEngine(engineJSON(t, 5.0, 0, 35), 2.0); err != nil {
-		t.Fatalf("passing report failed the gate: %v", err)
+// violate returns a value that fails `value op bound`.
+func violate(op string, bound float64) float64 {
+	switch op {
+	case ">=":
+		return bound - 1
+	case ">":
+		return bound
 	}
-	if err := gateEngine(engineJSON(t, 1.5, 0, 35), 2.0); err == nil {
-		t.Fatal("speedup 1.5x passed a 2.0x gate")
+	return bound + 1 // "<=", "=="
+}
+
+// TestGateTable checks that a passing results file passes every suite,
+// and that for every row of the gate table a copy that breaks exactly
+// that row — a matched record pushed past the bound, or every matched
+// record removed — fails, while the other rows still hold.
+func TestGateTable(t *testing.T) {
+	good := passingResults(t)
+	for _, suite := range []string{"engine", "multipivot", "serve", "recover", "incr"} {
+		if failed, err := check(suite, good); err != nil || failed != 0 {
+			t.Fatalf("passing %s suite: %d failures, err %v", suite, failed, err)
+		}
 	}
-	if err := gateEngine(engineJSON(t, 5.0, 99, 35), 2.0); err == nil {
-		t.Fatal("warm engine allocating more than oneshot passed the gate")
+	for _, g := range gates {
+		for _, remove := range []bool{false, true} {
+			sets, err := experiments.ReadRecordSets(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := sets[g.suite]
+			kept, broken := rs.Records[:0], 0
+			for _, r := range rs.Records {
+				if ok, _ := path.Match(g.cases, r.Case); ok && r.Metric == g.metric {
+					broken++
+					if remove {
+						continue
+					}
+					r.Value = violate(g.op, g.bound)
+				}
+				kept = append(kept, r)
+			}
+			if broken == 0 {
+				t.Fatalf("row %+v matches nothing in the passing results", g)
+			}
+			if remove {
+				broken = 1 // the one "no record" failure
+			}
+			rs.Records = kept
+			p := filepath.Join(t.TempDir(), "broken.json")
+			if err := experiments.WriteRecordSet(p, g.suite, rs); err != nil {
+				t.Fatal(err)
+			}
+			failed, err := check(g.suite, p)
+			if err != nil || failed != broken {
+				t.Fatalf("row %+v broken (remove=%v): %d failures, err %v; want %d", g, remove, failed, err, broken)
+			}
+		}
 	}
-	if err := gateEngine(filepath.Join(t.TempDir(), "missing.json"), 2.0); err == nil {
-		t.Fatal("missing file passed the gate")
-	}
-	// A report with no engine section (plain bench output) must fail.
-	p := filepath.Join(t.TempDir(), "plain.json")
-	if err := os.WriteFile(p, []byte(`{"rows": []}`), 0o644); err != nil {
+}
+
+func TestGateMissingSuite(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "results.json")
+	if err := experiments.WriteRecordSet(p, "serve", experiments.RecordSet{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := gateEngine(p, 2.0); err == nil {
-		t.Fatal("report without engine section passed the gate")
+	if _, err := check("recover", p); err == nil {
+		t.Fatal("file without a recover suite passed the recover gate")
+	}
+	if _, err := check("recover", filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Fatal("missing file passed the gate")
 	}
 }

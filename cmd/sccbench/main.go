@@ -13,18 +13,23 @@
 //	sccbench -exp ablations [-data flickr]       # §3.4/§4.1/§4.3 claims
 //	sccbench -exp dist [-data flickr]            # §6 distributed extension
 //	sccbench -exp bench [-warmup 1] [-reps 5] [-kernels worklist|legacy|multipivot] [-diropt]
-//	                                             # JSON perf report (BENCH_scc.json)
+//	                                             # Method2 perf sweep (BENCH_scc.json figure6 suite)
 //	sccbench -exp multipivot [-warmup 1] [-reps 5]
-//	                                             # worklist-vs-multipivot kernel comparison
+//	                                             # worklist-vs-multipivot kernel comparison (multipivot suite)
 //	sccbench -exp engine [-stream 64] [-engine-workers 4]
-//	                                             # engine-amortization report
+//	                                             # engine-amortization report (engine suite)
 //	sccbench -exp serve [-serve-clients 16] [-serve-duration 800ms]
-//	                                             # serving load harness (BENCH_serve.json)
+//	                                             # serving load harness (BENCH_serve.json serve suite)
 //	sccbench -exp recover [-recover-batches 6]
-//
+//	                                             # crash-recovery matrix (recover suite)
 //	sccbench -exp incr [-incr-batches 32] [-incr-batch-size 16]
-//	                                             # crash-recovery matrix (BENCH_serve.json "recover" section)
-//	sccbench -exp all                            # everything except bench/engine/serve/recover
+//	                                             # incremental-maintenance mixes (incr suite)
+//	sccbench -exp all                            # everything except bench/multipivot/engine/serve/recover/incr
+//
+// bench, multipivot and engine replace their own suite in the -json
+// file, serve, recover and incr theirs in the -serve-json file; the
+// other suites in the file are kept, and a missing file is created.
+// cmd/benchgate checks a suite against its bounds.
 //
 // -scale shrinks the datasets (1.0 ≈ 40-250k nodes per graph; use
 // 0.25 for quick runs). -mode modeled (default) projects thread sweeps
@@ -49,7 +54,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|figure2|figure6|figure7|figure8|figure9|tasklog|ablations|dist|related|smallworld|bench|multipivot|engine|all")
+		exp      = flag.String("exp", "all", "experiment: table1|figure2|figure6|figure7|figure8|figure9|tasklog|ablations|dist|related|smallworld|bench|multipivot|engine|serve|recover|incr|all")
 		data     = flag.String("data", "", "restrict figure6/figure7/tasklog/ablations to one dataset (default: all for figure6, flickr otherwise)")
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor (halving repeatedly shrinks node counts)")
 		mode     = flag.String("mode", "modeled", "thread-sweep mode: modeled|measured")
@@ -58,7 +63,7 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write machine-readable CSV files into this directory")
 		machSpec = flag.String("machine", "", "machine model for modeled sweeps, e.g. 8x1.0,8x0.7,16x0.35@1us (default: the paper's 2x8-core SMT Xeon)")
 
-		jsonPath = flag.String("json", "BENCH_scc.json", "bench experiment: write the JSON report to this file (empty = stdout only)")
+		jsonPath = flag.String("json", "BENCH_scc.json", "bench/multipivot/engine experiments: write the suite into this results file (empty = stdout only)")
 		warmup   = flag.Int("warmup", 1, "bench experiment: discarded warmup runs per dataset")
 		reps     = flag.Int("reps", 5, "bench experiment: measured repetitions per dataset")
 		workers  = flag.Int("workers", 0, "bench experiment: Detect workers (0 = GOMAXPROCS)")
@@ -68,7 +73,7 @@ func main() {
 		stream     = flag.Int("stream", 64, "engine experiment: graphs per stream pass")
 		engWorkers = flag.Int("engine-workers", 0, "engine experiment: fixed Detect worker count (0 = default 1)")
 
-		serveJSON     = flag.String("serve-json", "BENCH_serve.json", "serve/recover experiments: write the JSON report to this file (empty = stdout only)")
+		serveJSON     = flag.String("serve-json", "BENCH_serve.json", "serve/recover/incr experiments: write the suite into this results file (empty = stdout only)")
 		serveClients  = flag.Int("serve-clients", 16, "serve experiment: concurrent load clients")
 		serveDuration = flag.Duration("serve-duration", 800*time.Millisecond, "serve experiment: per-scenario load window")
 
@@ -193,12 +198,30 @@ func main() {
 		fmt.Print(experiments.FormatRelated(rc))
 		writeCSV("related.csv", func(f *os.File) error { return experiments.RelatedCSV(f, rc) })
 	})
-	// bench is deliberately not part of -exp all: it is the CI perf
-	// artifact, not a paper figure.
-	if *exp == "bench" {
-		kern, err := scc.ParseKernels(*kernSpec)
+	// The perf artifacts are deliberately not part of -exp all: each
+	// measures, prints its table and replaces its own suite in a
+	// results file.
+	artifact := func(name, path, suite string, measure func() (string, experiments.RecordSet, error)) {
+		if *exp != name {
+			return
+		}
+		table, rs, err := measure()
 		if err != nil {
 			fatal(err)
+		}
+		fmt.Print(table)
+		if path == "" {
+			return
+		}
+		if err := experiments.WriteRecordSet(path, suite, rs); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote %s suite to %s\n", suite, path)
+	}
+	artifact("bench", *jsonPath, "figure6", func() (string, experiments.RecordSet, error) {
+		kern, err := scc.ParseKernels(*kernSpec)
+		if err != nil {
+			return "", experiments.RecordSet{}, err
 		}
 		cfg := experiments.BenchConfig{
 			Scale: *scale, Workers: *workers, Warmup: *warmup, Reps: *reps, Seed: *seed,
@@ -208,72 +231,28 @@ func main() {
 			cfg.Datasets = strings.Split(*data, ",")
 		}
 		rep, err := experiments.BenchSweep(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		// Preserve the sections previous engine/multipivot runs wrote.
-		if *jsonPath != "" {
-			if old, err := experiments.ReadBenchJSON(*jsonPath); err == nil {
-				rep.Engine = old.Engine
-				rep.MultiPivot = old.MultiPivot
-			}
-		}
-		fmt.Print(experiments.FormatBench(rep))
-		writeBenchReport(*jsonPath, rep)
-	}
-
-	// multipivot is the kernel-comparison perf artifact: like-vs-like
-	// worklist vs multi-pivot rows over the high-diameter stress set
-	// (ca-road, deep-chain, zig-zag) plus small-world controls, merged
-	// into the bench report's "multipivot" section and gated by
-	// benchgate -multipivot.
-	if *exp == "multipivot" {
-		mpRep, err := experiments.MultiPivotSweep(experiments.MultiPivotBenchConfig{
+		return experiments.FormatBench(rep), rep.Records(), err
+	})
+	// Like-vs-like worklist vs multi-pivot rows over the high-diameter
+	// stress set (ca-road, deep-chain, zig-zag) plus small-world
+	// controls.
+	artifact("multipivot", *jsonPath, "multipivot", func() (string, experiments.RecordSet, error) {
+		rep, err := experiments.MultiPivotSweep(experiments.MultiPivotBenchConfig{
 			Scale: *scale, Workers: *workers, Warmup: *warmup, Reps: *reps, Seed: *seed,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.FormatMultiPivot(mpRep))
-		if *jsonPath != "" {
-			rep, err := experiments.ReadBenchJSON(*jsonPath)
-			if err != nil {
-				// No existing bench report to merge into: write a shell
-				// document holding only the multipivot section.
-				rep = experiments.BenchReport{GoVersion: mpRep.GoVersion, Host: experiments.CurrentHost()}
-			}
-			rep.MultiPivot = &mpRep
-			writeBenchReport(*jsonPath, rep)
-		}
-	}
-
-	// engine is the amortization perf artifact: a small-graph detection
-	// stream measured one-shot vs warm-engine vs batched, merged into
-	// the bench report's "engine" section.
-	if *exp == "engine" {
-		engRep, err := experiments.EngineSweep(experiments.EngineBenchConfig{
+		return experiments.FormatMultiPivot(rep), rep.Records(), err
+	})
+	// A small-graph detection stream measured one-shot vs warm-engine
+	// vs batched.
+	artifact("engine", *jsonPath, "engine", func() (string, experiments.RecordSet, error) {
+		rep, err := experiments.EngineSweep(experiments.EngineBenchConfig{
 			Workers: *engWorkers, Stream: *stream, Warmup: *warmup, Reps: *reps, Seed: *seed,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.FormatEngine(engRep))
-		if *jsonPath != "" {
-			rep, err := experiments.ReadBenchJSON(*jsonPath)
-			if err != nil {
-				// No existing bench report to merge into: write a shell
-				// document holding only the engine section.
-				rep = experiments.BenchReport{GoVersion: engRep.GoVersion, Host: experiments.CurrentHost()}
-			}
-			rep.Engine = &engRep
-			writeBenchReport(*jsonPath, rep)
-		}
-	}
-
-	// serve is the robustness perf artifact: the SCC-as-a-service load
-	// harness (steady / overload / chaos-rebuild / drain), written to
-	// its own BENCH_serve.json and gated by benchgate -serve.
-	if *exp == "serve" {
+		return experiments.FormatEngine(rep), rep.Records(), err
+	})
+	// The SCC-as-a-service load harness: steady, overload,
+	// chaos-rebuild and drain scenarios.
+	artifact("serve", *serveJSON, "serve", func() (string, experiments.RecordSet, error) {
 		rep, err := experiments.ServeSweep(experiments.ServeBenchConfig{
 			Dataset:  defaultTo(*data, "flickr"),
 			Scale:    *scale,
@@ -282,53 +261,24 @@ func main() {
 			Duration: *serveDuration,
 			Seed:     *seed,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		// Preserve the sections previous recover/incr runs wrote.
-		if *serveJSON != "" {
-			if old, err := experiments.ReadServeJSON(*serveJSON); err == nil {
-				rep.Recover = old.Recover
-				rep.Incr = old.Incr
-			}
-		}
-		fmt.Print(experiments.FormatServe(rep))
-		writeServeReport(*serveJSON, rep)
-	}
-
-	// recover is the crash-recovery artifact: a durable server killed
-	// at every mutating-FS-op ordinal and restarted, merged into the
-	// serve report's "recover" section and gated by benchgate -recover.
-	if *exp == "recover" {
-		recRep, err := experiments.RecoverSweep(experiments.RecoverBenchConfig{
+		return experiments.FormatServe(rep), rep.Records(), err
+	})
+	// A durable server killed at every mutating-FS-op ordinal and
+	// restarted.
+	artifact("recover", *serveJSON, "recover", func() (string, experiments.RecordSet, error) {
+		rep, err := experiments.RecoverSweep(experiments.RecoverBenchConfig{
 			Dataset: defaultTo(*data, "flickr"),
 			Scale:   *scale,
 			Workers: *workers,
 			Batches: *recoverBatches,
 			Seed:    *seed,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.FormatRecover(recRep))
-		if *serveJSON != "" {
-			rep, err := experiments.ReadServeJSON(*serveJSON)
-			if err != nil {
-				// No existing serve report to merge into: write a shell
-				// document holding only the recover section.
-				rep = experiments.ServeReport{GoVersion: recRep.GoVersion, Host: experiments.CurrentHost()}
-			}
-			rep.Recover = &recRep
-			writeServeReport(*serveJSON, rep)
-		}
-	}
-
-	// incr is the incremental-maintenance artifact: classified update
-	// mixes applied through incr.Maintainer and timed against the full
-	// rebuild they replace, merged into the serve report's "incr"
-	// section and gated by benchgate -incr.
-	if *exp == "incr" {
-		incRep, err := experiments.IncrSweep(experiments.IncrBenchConfig{
+		return experiments.FormatRecover(rep), rep.Records(), err
+	})
+	// Classified update mixes applied through incr.Maintainer and
+	// timed against the full rebuild they replace.
+	artifact("incr", *serveJSON, "incr", func() (string, experiments.RecordSet, error) {
+		rep, err := experiments.IncrSweep(experiments.IncrBenchConfig{
 			Dataset:   defaultTo(*data, "flickr"),
 			Scale:     *scale,
 			Workers:   *workers,
@@ -336,21 +286,8 @@ func main() {
 			BatchSize: *incrBatchSize,
 			Seed:      *seed,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.FormatIncr(incRep))
-		if *serveJSON != "" {
-			rep, err := experiments.ReadServeJSON(*serveJSON)
-			if err != nil {
-				// No existing serve report to merge into: write a shell
-				// document holding only the incr section.
-				rep = experiments.ServeReport{GoVersion: incRep.GoVersion, Host: experiments.CurrentHost()}
-			}
-			rep.Incr = &incRep
-			writeServeReport(*serveJSON, rep)
-		}
-	}
+		return experiments.FormatIncr(rep), rep.Records(), err
+	})
 
 	run("ablations", func() {
 		d := mustFind(defaultTo(*data, "flickr"))
@@ -359,45 +296,6 @@ func main() {
 		ks := experiments.AblationK(d, *scale, *seed, []int{1, 2, 4, 8, 16, 32})
 		fmt.Print(experiments.FormatAblations(h, t2, ks))
 	})
-}
-
-// writeServeReport writes the merged serving report to path ("" =
-// stdout only).
-func writeServeReport(path string, rep experiments.ServeReport) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteServeJSON(f, rep); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// writeBenchReport writes the merged report to path ("" = stdout only).
-func writeBenchReport(path string, rep experiments.BenchReport) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteBenchJSON(f, rep); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
 }
 
 func parseThreads(s string) ([]int, error) {

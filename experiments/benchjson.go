@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"runtime"
 	"time"
 
@@ -67,14 +64,14 @@ type BenchRow struct {
 	Edges   int64  `json:"edges"`
 
 	// MeanNs and StddevNs summarize the measured repetitions.
-	MeanNs   float64 `json:"mean_ns"`
-	StddevNs float64 `json:"stddev_ns"`
-	MinNs    int64   `json:"min_ns"`
+	MeanNs   float64 `json:"mean_ns" unit:"ns"`
+	StddevNs float64 `json:"stddev_ns" unit:"ns"`
+	MinNs    int64   `json:"min_ns" unit:"ns"`
 
 	// AllocsPerOp and BytesPerOp are runtime.MemStats deltas averaged
 	// over the measured repetitions.
 	AllocsPerOp uint64 `json:"allocs_per_op"`
-	BytesPerOp  uint64 `json:"bytes_per_op"`
+	BytesPerOp  uint64 `json:"bytes_per_op" unit:"B"`
 
 	NumSCCs int64 `json:"num_sccs"`
 
@@ -82,42 +79,18 @@ type BenchRow struct {
 	Metrics scc.MetricsSnapshot `json:"metrics"`
 }
 
-// BenchReport is the top-level BENCH_scc.json document.
+// BenchReport is the Method2 sweep behind BENCH_scc.json's figure6
+// suite.
 type BenchReport struct {
-	Benchmark string  `json:"benchmark"`
-	Algorithm string  `json:"algorithm"`
-	Kernels   string  `json:"kernels"`
-	Scale     float64 `json:"scale"`
-	Workers   int     `json:"workers"`
-	Warmup    int     `json:"warmup"`
-	Reps      int     `json:"reps"`
-	Seed      int64   `json:"seed"`
-	GoVersion string  `json:"go_version"`
-	Host
-	Rows []BenchRow `json:"rows"`
-
-	// Engine is the engine-amortization section (sccbench -exp engine).
-	// Each experiment rewrites only its own section, preserving the
-	// others' from the existing file.
-	Engine *EngineReport `json:"engine,omitempty"`
-
-	// MultiPivot is the kernel-comparison section (sccbench -exp
-	// multipivot): worklist vs multi-pivot like-vs-like rows over the
-	// high-diameter stress set, gated by benchgate -multipivot.
-	MultiPivot *MultiPivotReport `json:"multipivot,omitempty"`
-}
-
-// Host records the parallelism of the machine a report was measured
-// on, so numbers from hosts with different core counts are not
-// compared as like for like.
-type Host struct {
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-}
-
-// CurrentHost returns this process's runtime.NumCPU and GOMAXPROCS.
-func CurrentHost() Host {
-	return Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	Benchmark string
+	Algorithm string
+	Kernels   string
+	Scale     float64
+	Workers   int
+	Warmup    int
+	Reps      int
+	Seed      int64
+	Rows      []BenchRow
 }
 
 // BenchSweep measures Method2 over the configured datasets and
@@ -135,8 +108,6 @@ func BenchSweep(cfg BenchConfig) (BenchReport, error) {
 		Warmup:    cfg.Warmup,
 		Reps:      cfg.Reps,
 		Seed:      cfg.Seed,
-		GoVersion: runtime.Version(),
-		Host:      CurrentHost(),
 	}
 	for _, name := range cfg.Datasets {
 		d, err := Find(name)
@@ -197,24 +168,17 @@ func BenchSweep(cfg BenchConfig) (BenchReport, error) {
 	return rep, nil
 }
 
-// ReadBenchJSON loads an existing report, for merging a freshly
-// measured section into the other sections' previous values.
-func ReadBenchJSON(path string) (BenchReport, error) {
-	var rep BenchReport
-	f, err := os.Open(path)
-	if err != nil {
-		return rep, err
+// Records returns the report as the figure6 suite: one case per
+// dataset.
+func (r BenchReport) Records() RecordSet {
+	var recs []Record
+	for _, row := range r.Rows {
+		recs = append(recs, rowRecords(row.Dataset, row)...)
 	}
-	defer f.Close()
-	err = json.NewDecoder(f).Decode(&rep)
-	return rep, err
-}
-
-// WriteBenchJSON writes the report as indented JSON.
-func WriteBenchJSON(w io.Writer, rep BenchReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return newRecordSet(map[string]any{
+		"benchmark": r.Benchmark, "algorithm": r.Algorithm, "kernels": r.Kernels,
+		"scale": r.Scale, "workers": r.Workers, "warmup": r.Warmup, "reps": r.Reps, "seed": r.Seed,
+	}, recs)
 }
 
 // FormatBench renders the report as an aligned text table.

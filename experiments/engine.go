@@ -63,33 +63,32 @@ type EngineRow struct {
 	// over the whole stream).
 	Mode string `json:"mode"`
 
-	RunsPerSec   float64 `json:"runs_per_sec"`
-	NsPerRun     float64 `json:"ns_per_run"`
+	RunsPerSec   float64 `json:"runs_per_sec" unit:"1/s"`
+	NsPerRun     float64 `json:"ns_per_run" unit:"ns"`
 	AllocsPerRun uint64  `json:"allocs_per_run"`
-	BytesPerRun  uint64  `json:"bytes_per_run"`
+	BytesPerRun  uint64  `json:"bytes_per_run" unit:"B"`
 }
 
-// EngineReport is the "engine" section of BENCH_scc.json.
+// EngineReport is the engine suite of BENCH_scc.json.
 type EngineReport struct {
-	Workers    int         `json:"workers"`
-	Stream     int         `json:"stream_graphs"`
-	GraphNodes int         `json:"graph_nodes"`
-	Warmup     int         `json:"warmup"`
-	Reps       int         `json:"reps"`
-	Seed       int64       `json:"seed"`
-	GoVersion  string      `json:"go_version"`
-	Rows       []EngineRow `json:"rows"`
+	Workers    int
+	Stream     int
+	GraphNodes int
+	Warmup     int
+	Reps       int
+	Seed       int64
+	Rows       []EngineRow
 	// Speedup is Engine.Detect's runs/sec over per-call Detect's: the
 	// per-call amortization factor (setup, allocations, GC pressure
 	// removed; the detection work itself is unchanged).
-	Speedup float64 `json:"engine_vs_oneshot_speedup"`
+	Speedup float64
 	// BatchSpeedup is Engine.DetectBatch's runs/sec over per-call
 	// Detect's — the engine's request-stream throughput gain, which
-	// benchgate -engine gates. DetectBatch additionally routes each
-	// small graph to sequential Tarjan across the pinned gang, so this
+	// benchgate gates. DetectBatch additionally routes each small
+	// graph to sequential Tarjan across the pinned gang, so this
 	// combines gang amortization with the right-algorithm choice for
 	// tiny graphs.
-	BatchSpeedup float64 `json:"batch_vs_oneshot_speedup"`
+	BatchSpeedup float64
 }
 
 // Row returns the report row for mode, or nil.
@@ -111,7 +110,6 @@ func EngineSweep(cfg EngineBenchConfig) (EngineReport, error) {
 	rep := EngineReport{
 		Workers: cfg.Workers, Stream: cfg.Stream, GraphNodes: 1 << cfg.GraphScale,
 		Warmup: cfg.Warmup, Reps: cfg.Reps, Seed: cfg.Seed,
-		GoVersion: runtime.Version(),
 	}
 	graphs := make([]*graph.Graph, cfg.Stream)
 	for i := range graphs {
@@ -218,6 +216,27 @@ func measureStream(cfg EngineBenchConfig, mode string, pass func() (int, error))
 	row.AllocsPerRun = allocsSum / uint64(runs)
 	row.BytesPerRun = bytesSum / uint64(runs)
 	return row, nil
+}
+
+// Records returns the report as the engine suite: one case per mode.
+// The engine case also carries its speedup and its allocations per run
+// minus one-shot's, the batch case its speedup.
+func (r EngineReport) Records() RecordSet {
+	var recs []Record
+	for _, row := range r.Rows {
+		recs = append(recs, rowRecords(row.Mode, row)...)
+	}
+	recs = append(recs,
+		Record{"engine", "speedup_vs_oneshot", r.Speedup, "x"},
+		Record{"batch", "speedup_vs_oneshot", r.BatchSpeedup, "x"})
+	if o, e := r.Row("oneshot"), r.Row("engine"); o != nil && e != nil {
+		recs = append(recs, Record{"engine", "allocs_per_run_minus_oneshot",
+			float64(e.AllocsPerRun) - float64(o.AllocsPerRun), "count"})
+	}
+	return newRecordSet(map[string]any{
+		"workers": r.Workers, "stream_graphs": r.Stream, "graph_nodes": r.GraphNodes,
+		"warmup": r.Warmup, "reps": r.Reps, "seed": r.Seed,
+	}, recs)
 }
 
 // FormatEngine renders the engine report as an aligned text table.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 )
 
 // IncrBenchConfig configures the incremental-maintenance sweep behind
-// the "incr" section of BENCH_serve.json: classified update batches
+// the incr suite of BENCH_serve.json: classified update batches
 // applied through incr.Maintainer, timed against the from-scratch
 // detect → condense rebuild they replace on the serving path.
 type IncrBenchConfig struct {
@@ -63,9 +62,9 @@ type IncrMix struct {
 
 	// MeanBatchUS / MaxBatchUS are per-Apply wall costs; Speedup is
 	// FullDetectUS (the report-level baseline) over MeanBatchUS.
-	MeanBatchUS int64   `json:"mean_batch_us"`
-	MaxBatchUS  int64   `json:"max_batch_us"`
-	Speedup     float64 `json:"speedup"`
+	MeanBatchUS int64   `json:"mean_batch_us" unit:"us"`
+	MaxBatchUS  int64   `json:"max_batch_us" unit:"us"`
+	Speedup     float64 `json:"speedup" unit:"x"`
 
 	IntraInserts int64 `json:"intra_inserts"`
 	DagInserts   int64 `json:"dag_inserts"`
@@ -77,35 +76,40 @@ type IncrMix struct {
 
 	// Diverged reports whether the maintained labeling disagreed with
 	// a from-scratch detection over the final edge set. Must be false.
-	Diverged bool `json:"diverged"`
+	Diverged bool `json:"diverged" unit:"bool"`
 }
 
-// IncrReport is the "incr" section of BENCH_serve.json.
+// IncrReport is the incr suite of BENCH_serve.json.
 type IncrReport struct {
-	Dataset   string  `json:"dataset"`
-	Nodes     int     `json:"nodes"`
-	Edges     int64   `json:"edges"`
-	Scale     float64 `json:"scale"`
-	Workers   int     `json:"workers"`
-	Seed      int64   `json:"seed"`
-	GoVersion string  `json:"go_version"`
+	Dataset string
+	Nodes   int
+	Edges   int64
+	Scale   float64
+	Workers int
+	Seed    int64
 
 	// FullDetectUS is the baseline: one detect → condense over the
 	// base graph (minimum of three runs), the cost every update batch
 	// paid before incremental maintenance.
-	FullDetectUS int64 `json:"full_detect_us"`
+	FullDetectUS int64
 
-	Mixes []IncrMix `json:"mixes"`
+	Mixes []IncrMix
 }
 
-// Mix returns the named mix row, or nil.
-func (r *IncrReport) Mix(name string) *IncrMix {
-	for i := range r.Mixes {
-		if r.Mixes[i].Name == name {
-			return &r.Mixes[i]
-		}
+// Records returns the report as the incr suite: one case per mix, each
+// also carrying its delete fast paths (no-op deletes, DAG deletes and
+// no-ops), plus a baseline case with the full rebuild's cost.
+func (r IncrReport) Records() RecordSet {
+	var recs []Record
+	for _, m := range r.Mixes {
+		recs = append(recs, rowRecords(m.Name, m)...)
+		recs = append(recs, Record{m.Name, "delete_fast_paths", float64(m.NoopDeletes + m.DagDeletes + m.Noops), "count"})
 	}
-	return nil
+	recs = append(recs, Record{"baseline", "full_detect_us", float64(r.FullDetectUS), "us"})
+	return newRecordSet(map[string]any{
+		"dataset": r.Dataset, "nodes": r.Nodes, "edges": r.Edges, "scale": r.Scale,
+		"workers": r.Workers, "seed": r.Seed,
+	}, recs)
 }
 
 // IncrSweep measures the three classified update mixes — intra-SCC
@@ -143,7 +147,6 @@ func IncrSweep(cfg IncrBenchConfig) (IncrReport, error) {
 	rep := IncrReport{
 		Dataset: cfg.Dataset, Nodes: g.NumNodes(), Edges: g.NumEdges(),
 		Scale: cfg.Scale, Workers: cfg.Workers, Seed: cfg.Seed,
-		GoVersion: runtime.Version(),
 	}
 
 	// Baseline: the from-scratch epoch cost each batch used to pay

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/scc"
@@ -50,16 +49,16 @@ func (c MultiPivotBenchConfig) withDefaults() MultiPivotBenchConfig {
 
 // KernelCompareRow is one dataset measured under both kernels with
 // otherwise identical options — the like-vs-like comparison benchgate
-// -multipivot enforces.
+// gates.
 type KernelCompareRow struct {
 	Dataset       string  `json:"dataset"`
-	HighDiameter  bool    `json:"high_diameter"`
+	HighDiameter  bool    `json:"high_diameter" unit:"bool"`
 	Nodes         int     `json:"nodes"`
 	Edges         int64   `json:"edges"`
-	WorklistNs    float64 `json:"worklist_ns"`
-	WorklistMin   int64   `json:"worklist_min_ns"`
-	MultiPivotNs  float64 `json:"multipivot_ns"`
-	MultiPivotMin int64   `json:"multipivot_min_ns"`
+	WorklistNs    float64 `json:"worklist_ns" unit:"ns"`
+	WorklistMin   int64   `json:"worklist_min_ns" unit:"ns"`
+	MultiPivotNs  float64 `json:"multipivot_ns" unit:"ns"`
+	MultiPivotMin int64   `json:"multipivot_min_ns" unit:"ns"`
 	NumSCCs       int64   `json:"num_sccs"`
 
 	// Metrics is the final multi-pivot repetition's counter snapshot
@@ -67,17 +66,23 @@ type KernelCompareRow struct {
 	Metrics scc.MetricsSnapshot `json:"metrics"`
 }
 
-// MultiPivotReport is the "multipivot" section of BENCH_scc.json. Like
-// the engine section it is rewritten only by its own experiment; the
-// bench and engine experiments preserve it across merges.
+// Ratio is the multi-pivot mean over the worklist mean (0 when the
+// worklist mean is not positive).
+func (r KernelCompareRow) Ratio() float64 {
+	if r.WorklistNs <= 0 {
+		return 0
+	}
+	return r.MultiPivotNs / r.WorklistNs
+}
+
+// MultiPivotReport is the multipivot suite of BENCH_scc.json.
 type MultiPivotReport struct {
-	Scale     float64            `json:"scale"`
-	Workers   int                `json:"workers"`
-	Warmup    int                `json:"warmup"`
-	Reps      int                `json:"reps"`
-	Seed      int64              `json:"seed"`
-	GoVersion string             `json:"go_version"`
-	Rows      []KernelCompareRow `json:"rows"`
+	Scale   float64
+	Workers int
+	Warmup  int
+	Reps    int
+	Seed    int64
+	Rows    []KernelCompareRow
 }
 
 // MultiPivotSweep measures Method2 under the worklist and multi-pivot
@@ -89,7 +94,7 @@ func MultiPivotSweep(cfg MultiPivotBenchConfig) (MultiPivotReport, error) {
 	cfg = cfg.withDefaults()
 	rep := MultiPivotReport{
 		Scale: cfg.Scale, Workers: cfg.Workers, Warmup: cfg.Warmup,
-		Reps: cfg.Reps, Seed: cfg.Seed, GoVersion: runtime.Version(),
+		Reps: cfg.Reps, Seed: cfg.Seed,
 	}
 	type entry struct {
 		name string
@@ -154,6 +159,27 @@ func MultiPivotSweep(cfg MultiPivotBenchConfig) (MultiPivotReport, error) {
 	return rep, nil
 }
 
+// Records returns the report as the multipivot suite: one case per
+// dataset, named <class>/<dataset> with class hidiam (high-diameter) or
+// ctrl (small-world control), each carrying its Ratio and the
+// multi-pivot run's reach waves plus claims.
+func (r MultiPivotReport) Records() RecordSet {
+	var recs []Record
+	for _, row := range r.Rows {
+		c := "ctrl/" + row.Dataset
+		if row.HighDiameter {
+			c = "hidiam/" + row.Dataset
+		}
+		recs = append(recs, rowRecords(c, row)...)
+		recs = append(recs,
+			Record{c, "ratio", row.Ratio(), "x"},
+			Record{c, "reach_waves_plus_claims", float64(row.Metrics.ReachWaves + row.Metrics.ReachClaims), "count"})
+	}
+	return newRecordSet(map[string]any{
+		"scale": r.Scale, "workers": r.Workers, "warmup": r.Warmup, "reps": r.Reps, "seed": r.Seed,
+	}, recs)
+}
+
 // FormatMultiPivot renders the comparison as an aligned text table.
 func FormatMultiPivot(rep MultiPivotReport) string {
 	out := fmt.Sprintf("Kernel comparison (scale %.2g, %d warmup, %d reps, workers %d):\n",
@@ -165,15 +191,11 @@ func FormatMultiPivot(rep MultiPivotReport) string {
 		if r.HighDiameter {
 			class = "hidiam"
 		}
-		ratio := 0.0
-		if r.WorklistNs > 0 {
-			ratio = r.MultiPivotNs / r.WorklistNs
-		}
 		out += fmt.Sprintf("%-10s %6s %9d %12s %12s %7.2fx %8d %10d\n",
 			r.Dataset, class, r.Nodes,
 			time.Duration(r.WorklistNs).Round(time.Microsecond),
 			time.Duration(r.MultiPivotNs).Round(time.Microsecond),
-			ratio, r.Metrics.ReachWaves, r.Metrics.LocalCollapses)
+			r.Ratio(), r.Metrics.ReachWaves, r.Metrics.LocalCollapses)
 	}
 	return out
 }

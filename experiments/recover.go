@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -21,7 +20,7 @@ import (
 )
 
 // RecoverBenchConfig configures the crash-recovery harness behind the
-// "recover" section of BENCH_serve.json: a durable in-process sccserve
+// recover suite of BENCH_serve.json: a durable in-process sccserve
 // killed at every mutating-filesystem-op ordinal of a fixed update
 // workload, then restarted and checked against a Tarjan oracle.
 type RecoverBenchConfig struct {
@@ -71,38 +70,60 @@ type RecoverPoint struct {
 	AckedBatches int   `json:"acked_batches"`
 	RecoveredSeq int64 `json:"recovered_seq"`
 	Replayed     int64 `json:"wal_records_replayed"`
-	Truncated    bool  `json:"wal_truncated"`
-	RecoveryMS   int64 `json:"recovery_ms"`
+	Truncated    bool  `json:"wal_truncated" unit:"bool"`
+	RecoveryMS   int64 `json:"recovery_ms" unit:"ms"`
 
 	// LabelsMatch: the recovered SCC labeling equals the oracle's over
 	// the base graph plus the recovered batch prefix.
-	LabelsMatch bool `json:"labels_match"`
+	LabelsMatch bool `json:"labels_match" unit:"bool"`
 	// DurabilityOK: every acknowledged batch survived the crash
 	// (recovered_seq >= acked_batches).
-	DurabilityOK bool `json:"durability_ok"`
+	DurabilityOK bool `json:"durability_ok" unit:"bool"`
 	// EpochPreCrash is the last epoch a client observed before the
 	// kill; EpochRecovered must not be below it.
 	EpochPreCrash  int64 `json:"epoch_pre_crash"`
 	EpochRecovered int64 `json:"epoch_recovered"`
 }
 
-// RecoverReport is the "recover" section of BENCH_serve.json.
+// RecoverReport is the recover suite of BENCH_serve.json.
 type RecoverReport struct {
-	Dataset       string  `json:"dataset"`
-	Nodes         int     `json:"nodes"`
-	Edges         int64   `json:"edges"`
-	Scale         float64 `json:"scale"`
-	Batches       int     `json:"batches"`
-	SnapshotEvery int64   `json:"snapshot_every"`
-	Seed          int64   `json:"seed"`
-	GoVersion     string  `json:"go_version"`
+	Dataset       string
+	Nodes         int
+	Edges         int64
+	Scale         float64
+	Batches       int
+	SnapshotEvery int64
+	Seed          int64
 
 	// CrashPoints is the total op budget of the clean workload — one
 	// point per ordinal.
-	CrashPoints   int            `json:"crash_points"`
-	MaxRecoveryMS int64          `json:"max_recovery_ms"`
-	AnyTruncated  bool           `json:"any_truncated"`
-	Points        []RecoverPoint `json:"points"`
+	CrashPoints   int
+	MaxRecoveryMS int64
+	AnyTruncated  bool
+	Points        []RecoverPoint
+}
+
+// Records returns the report as the recover suite: one case per crash
+// point, named crash/<op> and also carrying its epoch advance
+// (recovered minus pre-crash), plus a matrix case with the crash-point
+// count, the number of recorded points minus it, the worst recovery
+// time and whether any point truncated the WAL.
+func (r RecoverReport) Records() RecordSet {
+	var recs []Record
+	for _, p := range r.Points {
+		c := fmt.Sprintf("crash/%d", p.CrashOp)
+		recs = append(recs, rowRecords(c, p)...)
+		recs = append(recs, Record{c, "epoch_advance", float64(p.EpochRecovered - p.EpochPreCrash), "count"})
+	}
+	recs = append(recs,
+		Record{"matrix", "crash_points", float64(r.CrashPoints), "count"},
+		Record{"matrix", "points_minus_crash_points", float64(len(r.Points) - r.CrashPoints), "count"},
+		Record{"matrix", "max_recovery_ms", float64(r.MaxRecoveryMS), "ms"},
+		Record{"matrix", "any_truncated", bit(r.AnyTruncated), "bool"})
+	return newRecordSet(map[string]any{
+		"dataset": r.Dataset, "nodes": r.Nodes, "edges": r.Edges, "scale": r.Scale,
+		"batches": r.Batches, "snapshot_every": r.SnapshotEvery, "seed": r.Seed,
+	}, recs)
 }
 
 // recoverLife drives one process lifetime: open the store over fsys,
@@ -171,7 +192,7 @@ func RecoverSweep(cfg RecoverBenchConfig) (RecoverReport, error) {
 	rep := RecoverReport{
 		Dataset: cfg.Dataset, Nodes: g.NumNodes(), Edges: g.NumEdges(),
 		Scale: cfg.Scale, Batches: cfg.Batches, SnapshotEvery: cfg.SnapshotEvery,
-		Seed: cfg.Seed, GoVersion: runtime.Version(),
+		Seed: cfg.Seed,
 	}
 
 	root := cfg.Dir

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -71,10 +68,10 @@ type ServeScenario struct {
 	Err4xx      int64 `json:"err_4xx"`
 	Err5xx      int64 `json:"err_5xx"`
 
-	QPS   float64 `json:"qps"`
-	P50US int64   `json:"p50_us"`
-	P99US int64   `json:"p99_us"`
-	MaxUS int64   `json:"max_us"`
+	QPS   float64 `json:"qps" unit:"1/s"`
+	P50US int64   `json:"p50_us" unit:"us"`
+	P99US int64   `json:"p99_us" unit:"us"`
+	MaxUS int64   `json:"max_us" unit:"us"`
 
 	EpochStart      int64 `json:"epoch_start"`
 	EpochEnd        int64 `json:"epoch_end"`
@@ -83,43 +80,33 @@ type ServeScenario struct {
 
 	// DrainOK is set by the drain scenario: the drain completed inside
 	// its bound with every accepted request finished.
-	DrainOK *bool `json:"drain_ok,omitempty"`
+	DrainOK *bool `json:"drain_ok" unit:"bool"`
 }
 
-// ServeReport is the top-level BENCH_serve.json document.
+// ServeReport is the serve suite of BENCH_serve.json.
 type ServeReport struct {
-	Dataset   string  `json:"dataset"`
-	Nodes     int     `json:"nodes"`
-	Edges     int64   `json:"edges"`
-	Scale     float64 `json:"scale"`
-	Workers   int     `json:"workers"`
-	Clients   int     `json:"clients"`
-	Seed      int64   `json:"seed"`
-	GoVersion string  `json:"go_version"`
-	Host
-	Scenarios []ServeScenario `json:"scenarios"`
-
-	// Recover is the crash-recovery matrix written by `sccbench -exp
-	// recover` and gated by `benchgate -recover`; nil until that
-	// experiment has run. Scenario and recover runs merge into the
-	// same document, each preserving the other's section.
-	Recover *RecoverReport `json:"recover,omitempty"`
-
-	// Incr is the incremental-maintenance sweep written by `sccbench
-	// -exp incr` and gated by `benchgate -incr`; nil until that
-	// experiment has run. Like Recover, it merges section-preservingly
-	// into the same document.
-	Incr *IncrReport `json:"incr,omitempty"`
+	Dataset   string
+	Nodes     int
+	Edges     int64
+	Scale     float64
+	Workers   int
+	Clients   int
+	Seed      int64
+	Scenarios []ServeScenario
 }
 
-// Scenario returns the named scenario row, or nil.
-func (r *ServeReport) Scenario(name string) *ServeScenario {
-	for i := range r.Scenarios {
-		if r.Scenarios[i].Name == name {
-			return &r.Scenarios[i]
-		}
+// Records returns the report as the serve suite: one case per
+// scenario, each also carrying its epoch advance (end minus start).
+func (r ServeReport) Records() RecordSet {
+	var recs []Record
+	for _, s := range r.Scenarios {
+		recs = append(recs, rowRecords(s.Name, s)...)
+		recs = append(recs, Record{s.Name, "epoch_advance", float64(s.EpochEnd - s.EpochStart), "count"})
 	}
-	return nil
+	return newRecordSet(map[string]any{
+		"dataset": r.Dataset, "nodes": r.Nodes, "edges": r.Edges, "scale": r.Scale,
+		"workers": r.Workers, "clients": r.Clients, "seed": r.Seed,
+	}, recs)
 }
 
 // serveRun is one scenario server plus its HTTP front end.
@@ -283,13 +270,11 @@ func finish(name string, run *serveRun, res *loadResult, epochStart int64) Serve
 func ServeSweep(cfg ServeBenchConfig) (ServeReport, error) {
 	cfg = cfg.withDefaults()
 	rep := ServeReport{
-		Dataset:   cfg.Dataset,
-		Scale:     cfg.Scale,
-		Workers:   cfg.Workers,
-		Clients:   cfg.Clients,
-		Seed:      cfg.Seed,
-		GoVersion: runtime.Version(),
-		Host:      CurrentHost(),
+		Dataset: cfg.Dataset,
+		Scale:   cfg.Scale,
+		Workers: cfg.Workers,
+		Clients: cfg.Clients,
+		Seed:    cfg.Seed,
 	}
 
 	// steady: generous caps, pure query load. The QPS/latency numbers
@@ -424,25 +409,6 @@ func ServeSweep(cfg ServeBenchConfig) (ServeReport, error) {
 	}
 
 	return rep, nil
-}
-
-// ReadServeJSON loads an existing serving report.
-func ReadServeJSON(path string) (ServeReport, error) {
-	var rep ServeReport
-	f, err := os.Open(path)
-	if err != nil {
-		return rep, err
-	}
-	defer f.Close()
-	err = json.NewDecoder(f).Decode(&rep)
-	return rep, err
-}
-
-// WriteServeJSON writes the report as indented JSON.
-func WriteServeJSON(w io.Writer, rep ServeReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // FormatServe renders the report as an aligned text table.
