@@ -9,14 +9,12 @@
 package repro
 
 import (
-	"fmt"
 	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/dist"
 	"repro/experiments"
 	"repro/graph"
 	"repro/scc"
@@ -222,7 +220,7 @@ func BenchmarkSequential(b *testing.B) {
 	b.Run("kosaraju", func(b *testing.B) { benchDetect(b, "livej", scc.Kosaraju, scc.Options{}) })
 }
 
-// --- Related-work roster (§1/§2): FW-BW without Trim, and OBF --------
+// --- Related-work roster (§1/§2): FW-BW without Trim, OBF, Coloring, MultiStep
 
 func BenchmarkRelatedFWBW(b *testing.B) {
 	benchDetect(b, "baidu", scc.FWBW, scc.Options{Seed: 1})
@@ -230,6 +228,14 @@ func BenchmarkRelatedFWBW(b *testing.B) {
 
 func BenchmarkRelatedOBF(b *testing.B) {
 	benchDetect(b, "baidu", scc.OBF, scc.Options{Seed: 1})
+}
+
+func BenchmarkRelatedColoring(b *testing.B) {
+	benchDetect(b, "baidu", scc.Coloring, scc.Options{})
+}
+
+func BenchmarkRelatedMultiStep(b *testing.B) {
+	benchDetect(b, "baidu", scc.MultiStep, scc.Options{Seed: 1})
 }
 
 // --- §4.2 extension: direction-optimizing BFS in phase 1 -------------
@@ -241,28 +247,6 @@ func BenchmarkAblationDirOptBFS(b *testing.B) {
 	b.Run("dir-opt", func(b *testing.B) {
 		benchDetect(b, "twitter", scc.Method1, scc.Options{Seed: 1, DirOptBFS: true})
 	})
-}
-
-// --- §6 extension: distributed pipeline ------------------------------
-
-func BenchmarkDistributed(b *testing.B) {
-	g := dataset(b, "flickr")
-	for _, w := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dist.Run(g, dist.Options{Workers: w, Seed: 1})
-			}
-		})
-	}
-}
-
-func BenchmarkRelatedColoring(b *testing.B) {
-	benchDetect(b, "baidu", scc.Coloring, scc.Options{})
-}
-
-func BenchmarkRelatedMultiStep(b *testing.B) {
-	benchDetect(b, "baidu", scc.MultiStep, scc.Options{Seed: 1})
 }
 
 // --- Work-efficient kernels: counter-peeling Trim + union-find WCC ---

@@ -11,7 +11,6 @@
 //	sccbench -exp figure9                        # all SCC size dists
 //	sccbench -exp tasklog                        # §3.3 execution log
 //	sccbench -exp ablations [-data flickr]       # §3.4/§4.1/§4.3 claims
-//	sccbench -exp dist [-data flickr]            # §6 distributed extension
 //	sccbench -exp bench [-warmup 1] [-reps 5] [-kernels worklist|legacy|multipivot] [-diropt]
 //	                                             # Method2 perf sweep (BENCH_scc.json figure6 suite)
 //	sccbench -exp multipivot [-warmup 1] [-reps 5]
@@ -43,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -52,9 +52,26 @@ import (
 	"repro/schedsim"
 )
 
+// experimentNames lists every value -exp accepts; "all" runs each
+// non-artifact experiment in turn.
+var experimentNames = []string{
+	"table1", "figure2", "figure6", "figure7", "figure8", "figure9", "tasklog",
+	"ablations", "related", "smallworld",
+	"bench", "multipivot", "engine", "serve", "recover", "incr", "all",
+}
+
+// checkExp rejects an -exp value that names no experiment, so a typo
+// fails before anything runs instead of silently doing nothing.
+func checkExp(name string) error {
+	if slices.Contains(experimentNames, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(experimentNames, "|"))
+}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|figure2|figure6|figure7|figure8|figure9|tasklog|ablations|dist|related|smallworld|bench|multipivot|engine|serve|recover|incr|all")
+		exp      = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
 		data     = flag.String("data", "", "restrict figure6/figure7/tasklog/ablations to one dataset (default: all for figure6, flickr otherwise)")
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor (halving repeatedly shrinks node counts)")
 		mode     = flag.String("mode", "modeled", "thread-sweep mode: modeled|measured")
@@ -83,6 +100,10 @@ func main() {
 		incrBatchSize = flag.Int("incr-batch-size", 16, "incr experiment: updates per batch")
 	)
 	flag.Parse()
+	if err := checkExp(*exp); err != nil {
+		fmt.Fprintln(os.Stderr, "sccbench:", err)
+		os.Exit(2)
+	}
 
 	m := experiments.Modeled
 	if *mode == "measured" {
@@ -175,14 +196,6 @@ func main() {
 	run("tasklog", func() {
 		d := mustFind(defaultTo(*data, "flickr"))
 		fmt.Print(experiments.FormatTaskLog(experiments.TaskLog(d, *scale, *seed, 5)))
-	})
-	run("dist", func() {
-		d := mustFind(defaultTo(*data, "flickr"))
-		ds := experiments.DistScalingExperiment(d, *scale, []int{1, 2, 4, 8, 16}, *seed)
-		fmt.Print(experiments.FormatDistScaling(ds))
-		fmt.Print(experiments.FormatPartitionComparison(
-			experiments.ComparePartitioning(d, *scale, 8, *seed)))
-		writeCSV("dist.csv", func(f *os.File) error { return experiments.DistScalingCSV(f, ds) })
 	})
 	run("smallworld", func() {
 		n := int(30000 * *scale)

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseThreads(t *testing.T) {
 	got, err := parseThreads("1, 2,16")
@@ -36,5 +39,23 @@ func TestSelectDatasets(t *testing.T) {
 func TestDefaultTo(t *testing.T) {
 	if defaultTo("", "d") != "d" || defaultTo("v", "d") != "v" {
 		t.Fatal("defaultTo wrong")
+	}
+}
+
+func TestCheckExp(t *testing.T) {
+	for _, name := range experimentNames {
+		if err := checkExp(name); err != nil {
+			t.Errorf("checkExp(%q) = %v, want nil", name, err)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "dist", "Figure6", "figure6 "} {
+		err := checkExp(bad)
+		if err == nil {
+			t.Errorf("checkExp(%q) accepted an unknown experiment", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "figure6|") {
+			t.Errorf("checkExp(%q) error %q does not list the valid names", bad, err)
+		}
 	}
 }

@@ -310,26 +310,6 @@ func TestAblationKSweep(t *testing.T) {
 	}
 }
 
-func TestDistScalingExperiment(t *testing.T) {
-	d, _ := Find("baidu")
-	ds := DistScalingExperiment(d, testScale, []int{1, 4}, 1)
-	if len(ds.Points) != 2 {
-		t.Fatalf("%d points", len(ds.Points))
-	}
-	if ds.Points[0].Messages != 0 {
-		t.Fatalf("1-worker run exchanged %d messages", ds.Points[0].Messages)
-	}
-	if ds.Points[1].Messages == 0 {
-		t.Fatal("4-worker run exchanged no messages")
-	}
-	if ds.Points[0].NumSCCs != ds.Points[1].NumSCCs {
-		t.Fatal("SCC counts differ across cluster sizes")
-	}
-	if out := FormatDistScaling(ds); !strings.Contains(out, "msgs/edge") {
-		t.Fatal("format broken")
-	}
-}
-
 func TestRelatedComparison(t *testing.T) {
 	d, _ := Find("baidu")
 	rc := Related(d, testScale, 1)
@@ -365,17 +345,6 @@ func TestSmallWorldSweep(t *testing.T) {
 			points[0].Phase1Levels, points[2].Phase1Levels)
 	}
 	if out := FormatSmallWorld(points); !strings.Contains(out, "beta") {
-		t.Fatal("format broken")
-	}
-}
-
-func TestComparePartitioning(t *testing.T) {
-	d, _ := Find("baidu")
-	pc := ComparePartitioning(d, testScale, 4, 1)
-	if pc.BlockMessages == 0 || pc.HashMessages == 0 {
-		t.Fatalf("%+v", pc)
-	}
-	if out := FormatPartitionComparison(pc); !strings.Contains(out, "block=") {
 		t.Fatal("format broken")
 	}
 }

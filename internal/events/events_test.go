@@ -70,16 +70,15 @@ func TestSinkCancelOnly(t *testing.T) {
 // TestTypeString pins the event-type names.
 func TestTypeString(t *testing.T) {
 	names := map[Type]string{
-		PhaseStart:      "PhaseStart",
-		PhaseEnd:        "PhaseEnd",
-		TrimRound:       "TrimRound",
-		BFSLevel:        "BFSLevel",
-		WCCRound:        "WCCRound",
-		QueueSample:     "QueueSample",
-		TaskDone:        "TaskDone",
-		RetryAttempt:    "RetryAttempt",
-		CheckpointTaken: "CheckpointTaken",
-		Rollback:        "Rollback",
+		PhaseStart:  "PhaseStart",
+		PhaseEnd:    "PhaseEnd",
+		TrimRound:   "TrimRound",
+		BFSLevel:    "BFSLevel",
+		WCCRound:    "WCCRound",
+		QueueSample: "QueueSample",
+		TaskDone:    "TaskDone",
+		RunMetrics:  "RunMetrics",
+		Stalled:     "Stalled",
 	}
 	for typ, want := range names {
 		if typ.String() != want {
