@@ -26,10 +26,14 @@ import (
 // one Par fixpoint iteration: a removal is visible to nodes scanned
 // later in the same round, so on favorably ordered inputs (an id-sorted
 // citation DAG trims completely in one ascending scan) the cascade
-// captures the round-based kernel's best case at the round-based
-// kernel's per-node cost — one degree scan, no counter maintenance.
-// The counters are then computed only over the cascade's survivors,
-// preserving the O(N+M) bound when the ordering is adversarial.
+// captures the round-based kernel's best case at less than the
+// round-based kernel's per-node cost — an early-exit neighbor scan, no
+// counter maintenance. The cascade is one ordered scan on the
+// coordinator at every worker count: splitting it across workers hides
+// each chunk's removals from the other chunks and hands the rest of the
+// chain to the wave drain, one wave per link. The counters are then
+// computed only over the cascade's survivors, preserving the O(N+M)
+// bound when the ordering is adversarial.
 //
 // The contract is Par's: same arguments, same removal semantics (CAS
 // on color to Removed, comp[v] = v), same arena-owned survivor list,
@@ -42,11 +46,12 @@ import (
 // exactly like Par's — only candidates are removed, and degrees count
 // all alive same-color neighbors, candidate or not.
 //
-// Single-worker invocations run atomics-free specializations of every
-// pass: with no concurrent claimers, the claim CAS degrades to a plain
-// store and the counter decrement to a plain decrement, which matters —
-// a LOCK-prefixed read-modify-write per alive edge is the dominant
-// cost of the drain, not the cache misses.
+// The count, seed and drain passes run in parallel; single-worker
+// invocations run atomics-free specializations of them: with no
+// concurrent claimers, the claim CAS degrades to a plain store and the
+// counter decrement to a plain decrement, which matters — a
+// LOCK-prefixed read-modify-write per alive edge is the dominant cost
+// of the drain, not the cache misses.
 func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, candidates []graph.NodeID, ar *scratch.Arena) (Result, []graph.NodeID) {
 	ownCandidates := false
 	if candidates == nil {
@@ -69,15 +74,8 @@ func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 		// Round 1: the greedy cascade. One Par-style scan where removals
 		// are visible to later nodes in the same scan; survivors land in
 		// casc and are the only nodes the counters are built for.
-		if single {
-			ar.Chaos().Hit(chaos.SiteTrim)
-			cascRemoved = peelCascadeRange(g, color, comp, candidates, &casc)
-		} else {
-			bufs := ar.GetLists(workers)
-			counts := ar.Counts(workers)
-			cascRemoved = trimRoundPar(g, workers, color, comp, candidates, &casc, bufs, counts, ar)
-			ar.PutLists(bufs)
-		}
+		inj.Hit(chaos.SiteTrim)
+		cascRemoved = peelCascadeRange(g, color, comp, candidates, &casc)
 		res.Removed += cascRemoved
 		res.SCCs += cascRemoved
 		ctr.AddTrimRound(cascRemoved)
@@ -174,10 +172,14 @@ func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 	return res, out
 }
 
-// peelCascadeRange is the single-worker cascade round: trimRange's
-// semantics (removals visible to later nodes in the same scan) without
-// its atomics — no concurrent claimer exists, so the claim is a plain
-// store.
+// peelCascadeRange is the cascade round, run by the coordinator alone
+// at every worker count: trimRange's semantics (removals visible to
+// later nodes in the same scan) without its atomics — no concurrent
+// claimer exists, so the claim is a plain store. The trim test needs
+// only whether an alive same-color neighbor exists on each side, not
+// how many, so each scan stops at the first one and the out-scan runs
+// only for nodes that have an in-neighbor; the counting pass computes
+// the exact counters for the survivors.
 func peelCascadeRange(g *graph.Graph, color, comp []int32, active []graph.NodeID, buf *[]graph.NodeID) int64 {
 	removed := int64(0)
 	for _, v := range active {
@@ -185,16 +187,26 @@ func peelCascadeRange(g *graph.Graph, color, comp []int32, active []graph.NodeID
 		if c == Removed {
 			continue
 		}
-		in, out := aliveDegrees(g, color, v, c)
-		if in == 0 || out == 0 {
-			color[v] = Removed
-			comp[v] = int32(v)
-			removed++
+		if hasAlive(g.In(v), color, v, c) && hasAlive(g.Out(v), color, v, c) {
+			*buf = append(*buf, v)
 			continue
 		}
-		*buf = append(*buf, v)
+		color[v] = Removed
+		comp[v] = int32(v)
+		removed++
 	}
 	return removed
+}
+
+// hasAlive reports whether adj holds a neighbor of v, other than v
+// itself, of color c.
+func hasAlive(adj []graph.NodeID, color []int32, v graph.NodeID, c int32) bool {
+	for _, k := range adj {
+		if k != v && color[k] == c {
+			return true
+		}
+	}
+	return false
 }
 
 // peelCountRange computes the alive same-color degree counters for the

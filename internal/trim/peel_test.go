@@ -1,11 +1,13 @@
 package trim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/events"
 	"repro/internal/scratch"
 )
 
@@ -102,12 +104,74 @@ func TestPeelRespectsColors(t *testing.T) {
 	}
 }
 
+// TestPeelDAGFullyTrims pins the ordered cascade: the citation DAG's
+// ids are a topological order, so one ascending scan trims every node
+// and no wave follows — at every worker count, since the cascade is
+// never split across workers.
 func TestPeelDAGFullyTrims(t *testing.T) {
 	g := gen.CitationDAG(3000, 4, 9)
-	color, comp := freshState(3000)
-	res, alive := Peel(nil, g, 4, color, comp, nil, nil)
-	if res.Removed != 3000 || len(alive) != 0 {
-		t.Fatalf("removed=%d alive=%d, want full trim", res.Removed, len(alive))
+	for _, workers := range []int{1, 2, 4} {
+		color, comp := freshState(3000)
+		res, alive := Peel(nil, g, workers, color, comp, nil, nil)
+		if res.Removed != 3000 || len(alive) != 0 {
+			t.Fatalf("w=%d: removed=%d alive=%d, want full trim", workers, res.Removed, len(alive))
+		}
+		if res.Rounds != 1 {
+			t.Fatalf("w=%d: rounds = %d, want 1 (one ordered cascade)", workers, res.Rounds)
+		}
+	}
+}
+
+// waveSizes records the node count of every TrimRound event.
+type waveSizes []int64
+
+func (w *waveSizes) Observe(ev events.Event) {
+	if ev.Type == events.TrimRound {
+		*w = append(*w, ev.Nodes)
+	}
+}
+
+// TestPeelShuffledDAGParallelDrain covers the multi-worker drain. The
+// cascade is one ordered scan, so only a badly ordered input leaves
+// waves large enough for the gang-dispatched drain. A citation DAG
+// under a random relabeling is one (reversing the ids would not do:
+// any topological order, forward or backward, cascades completely):
+// most of it peels through counter waves. The result must still match
+// the round-based kernel exactly.
+func TestPeelShuffledDAGParallelDrain(t *testing.T) {
+	const n = 8000
+	perm := make([]graph.NodeID, n)
+	for i, p := range rand.New(rand.NewSource(3)).Perm(n) {
+		perm[i] = graph.NodeID(p)
+	}
+	g := graph.Relabel(gen.CitationDAG(n, 8, 9), perm)
+	pcolor, pcomp := freshState(n)
+	Par(nil, g, 2, pcolor, pcomp, nil, nil)
+	for _, workers := range []int{2, 4} {
+		var waves waveSizes
+		color, comp := freshState(n)
+		res, alive := Peel(events.NewSink(context.Background(), &waves), g, workers, color, comp, nil, nil)
+		if res.Removed != n || len(alive) != 0 {
+			t.Fatalf("w=%d: removed=%d alive=%d, want full trim", workers, res.Removed, len(alive))
+		}
+		if res.Rounds <= 1 {
+			t.Fatalf("w=%d: rounds = %d, want a multi-wave peel", workers, res.Rounds)
+		}
+		gang := 0
+		for _, nodes := range waves[1:] {
+			if nodes > 64 {
+				gang++
+			}
+		}
+		if gang == 0 {
+			t.Fatalf("w=%d: no wave over 64 nodes; the parallel drain never ran", workers)
+		}
+		for v := 0; v < n; v++ {
+			if color[v] != pcolor[v] || comp[v] != pcomp[v] {
+				t.Fatalf("w=%d: node %d color/comp (%d,%d), Par got (%d,%d)",
+					workers, v, color[v], comp[v], pcolor[v], pcomp[v])
+			}
+		}
 	}
 }
 
@@ -115,14 +179,27 @@ func TestPeelDAGFullyTrims(t *testing.T) {
 // round-based kernel on random graphs: identical survivor sets and
 // identical color/comp arrays (both kernels assign comp[v] = v to
 // every node they remove), across worker counts and with restricted
-// candidate lists.
+// candidate lists. Every other trial is dense — out-degree 8, mostly
+// acyclic edges plus a few random back edges — so the cascade's early
+// exit stops mid-list both on survivors and on nodes it removes.
 func TestPeelMatchesPar(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		n := 20 + rng.Intn(150)
 		b := graph.NewBuilder(n)
-		for i := 0; i < n*2; i++ {
-			b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+		if trial%2 == 1 {
+			for v := 1; v < n; v++ {
+				for j := 0; j < 8; j++ {
+					b.AddEdge(graph.NodeID(v), graph.NodeID(rng.Intn(v)))
+				}
+			}
+			for i := 0; i < n/8; i++ {
+				b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+			}
+		} else {
+			for i := 0; i < n*2; i++ {
+				b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+			}
 		}
 		g := b.Build()
 		var candidates []graph.NodeID
@@ -137,7 +214,7 @@ func TestPeelMatchesPar(t *testing.T) {
 		}
 		pcolor, pcomp := freshState(n)
 		pres, palive := Par(nil, g, 4, pcolor, pcomp, candidates, nil)
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			color, comp := freshState(n)
 			res, alive := Peel(nil, g, workers, color, comp, candidates, nil)
 			if res.Removed != pres.Removed || res.SCCs != pres.SCCs {

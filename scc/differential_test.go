@@ -126,6 +126,31 @@ func chainOfTwoCycles(pairs int) *graph.Graph {
 	return b.Build()
 }
 
+// TestCitationDAGTrimsInOneRound pins Method 2's Par-Trim on the
+// patents shape through the public API: a citation DAG whose ids are a
+// topological order falls to the ordered cascade in one round at one
+// and at two workers, and the labels are Tarjan's.
+func TestCitationDAGTrimsInOneRound(t *testing.T) {
+	g := gen.CitationDAG(50000, 5, 7)
+	ref, err := scc.Detect(g, scc.Options{Algorithm: scc.Tarjan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canonical(t, ref.Comp)
+	for _, workers := range []int{1, 2} {
+		res, err := scc.Detect(g, scc.Options{Algorithm: scc.Method2, Workers: workers})
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		if r := res.Phases[scc.PhaseParTrim].Rounds; r != 1 {
+			t.Fatalf("w=%d: Par-Trim took %d rounds, want 1", workers, r)
+		}
+		if !sameCanonical(want, canonical(t, res.Comp)) {
+			t.Fatalf("w=%d: partition differs from Tarjan", workers)
+		}
+	}
+}
+
 // TestDifferentialKernels runs every parallel algorithm under all
 // three kernel sets — the legacy round-based Par-Trim/Par-WCC, the
 // work-efficient worklist kernels, and the multi-pivot reachability
